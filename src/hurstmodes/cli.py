@@ -75,8 +75,6 @@ def _pipeline_config(args) -> PipelineConfig:
         grid_max = None if args.M == "auto" else float(args.M)
     except ValueError:
         raise ConfigError(f"M must be positive or 'auto', got {args.M!r}") from None
-    if grid_max is not None and grid_max <= 0:
-        raise ConfigError(f"M must be positive or 'auto', got {args.M}")
     if args.j is not None:
         return PipelineConfig(a=args.a, j=args.j, multiscale=None, m=args.m,
                               grid_max=grid_max, min_cluster=args.min_cluster,
@@ -109,8 +107,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError("estimate emits JSON only; --format csv applies to sweep tables")
     cfg = _pipeline_config(args)
     panel = _load_panel(args)
-    h_set, auto_m = log_eigen_set(panel, cfg)
-    grid_max = cfg.grid_max if cfg.grid_max is not None else (auto_m if auto_m > 0 else None)
+    h_set, grid_max = log_eigen_set(panel, cfg)
     est = select_scheme(h_set, m=cfg.m, grid_max=grid_max, seed=args.seed,
                         min_cluster=cfg.min_cluster)
     out = {
@@ -159,8 +156,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def parse_sweep_spec(path) -> tuple[ExperimentSpec, int]:
-    """Flat key-value sweep description -> (ExperimentSpec, workers).
+def parse_sweep_spec(path) -> ExperimentSpec:
+    """Flat key-value sweep description -> ExperimentSpec.
 
     Recognized keys (one `key = value` per line, '#' comments):
       family    bimodal | custom
@@ -170,7 +167,7 @@ def parse_sweep_spec(path) -> tuple[ExperimentSpec, int]:
       modes     for custom: semicolon-separated mode lists  (e.g. 0.2,0.5,0.8;0.3,0.6)
       n p a j   panel and analysis geometry (single-scale when j given)
       j1 j2     multiscale window (used when j absent)
-      m M reps seed min_cluster methods fixed_mix workers n_vanishing
+      m M reps seed min_cluster methods fixed_mix n_vanishing
     """
     kv: dict[str, str] = {}
     with open(path) as fh:
@@ -199,7 +196,6 @@ def parse_sweep_spec(path) -> tuple[ExperimentSpec, int]:
     min_cluster = int(get("min_cluster", "2"))
     methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
     fixed_mix = get("fixed_mix", "false").lower() in ("1", "true", "yes")
-    workers = int(get("workers", "1"))
     n_vanishing = int(get("n_vanishing", "2"))
 
     if "j" in kv:
@@ -241,7 +237,7 @@ def parse_sweep_spec(path) -> tuple[ExperimentSpec, int]:
     kv.pop("modes", None)
     if kv:
         raise ConfigError(f"unrecognized sweep spec keys: {', '.join(sorted(kv))}")
-    return spec, workers
+    return spec
 
 
 _SWEEP_COLUMNS = ["config", "method", "true_r", "reps", "reps_used", "failures",
@@ -262,10 +258,7 @@ def _write_sweep_csv(rows, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    spec, workers = parse_sweep_spec(args.spec)
-    if args.workers is not None:
-        workers = args.workers
-    result = run_sweep(spec, workers=workers)
+    result = run_sweep(parse_sweep_spec(args.spec))
     base = args.output or "sweep"
     wrote = []
     if args.format in ("csv", "both"):
@@ -310,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--spec", required=True, help="flat key-value experiment description")
     sweep.add_argument("--output", default=None, help="output base path (writes .csv/.json)")
     sweep.add_argument("--format", default="both", choices=("csv", "json", "both"))
-    sweep.add_argument("--workers", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -62,14 +62,6 @@ class ClusterScheme:
     epsilon_used: float
 
     @property
-    def labels(self) -> np.ndarray:
-        p = sum(len(c) for c in self.clusters)
-        lab = np.full(p, -1, dtype=int)
-        for i, members in enumerate(self.clusters):
-            lab[list(members)] = i
-        return lab
-
-    @property
     def min_cluster_size(self) -> int:
         return min(len(c) for c in self.clusters)
 

@@ -32,10 +32,6 @@ class GmmFit:
     bic: float
     collapsed: bool = False  # True if a variance-collapsed component was removed
 
-    def responsibilities(self, x: np.ndarray) -> np.ndarray:
-        logr = _log_componentwise(np.asarray(x, float), self.weights, self.means, self.variances)
-        return np.exp(logr - _logsumexp(logr))
-
 
 def _log_componentwise(x, weights, means, variances):
     # k x n matrix of log(w_j N(x_i | mu_j, var_j))
@@ -54,7 +50,8 @@ def _logsumexp(logr):
 def fit_gmm(x: np.ndarray, k: int) -> GmmFit:
     """EM fit with k components from a deterministic quantile initialization.
 
-    The log-likelihood is asserted non-decreasing on every iteration.  A
+    A log-likelihood decrease between iterations raises RuntimeError, which
+    select_gmm does not catch, so a broken fit is never silently skipped.  A
     component whose variance collapses below the floor is removed (k drops,
     flagged) and the fit continues with the survivors.
     """
@@ -83,7 +80,8 @@ def fit_gmm(x: np.ndarray, k: int) -> GmmFit:
         logr = _log_componentwise(x, weights, means, variances)
         lse = _logsumexp(logr)
         ll = float(lse.sum())
-        assert ll >= prev_ll - 1e-10 * max(1.0, abs(prev_ll)), "EM log-likelihood decreased"
+        if ll < prev_ll - 1e-10 * max(1.0, abs(prev_ll)):
+            raise RuntimeError(f"EM log-likelihood decreased from {prev_ll!r} to {ll!r}")
         resp = np.exp(logr - lse)
 
         nk = resp.sum(axis=1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,8 @@ class PipelineConfig:
     Single-scale mode analyzes the matrix at octave j + log2(a) and rescales
     by a; multiscale mode regresses across octaves j1..j2.  grid_max None
     means the data-driven choice (fixed-octave heuristic when single-scale,
-    statistic spread when multiscale).
+    statistic spread when multiscale); otherwise it must be finite and
+    positive.
     """
 
     n: int = 0  # panel geometry; 0 when the panel comes from elsewhere (CLI)
@@ -55,6 +55,8 @@ class PipelineConfig:
     n_vanishing: int = 2
 
     def __post_init__(self):
+        if self.grid_max is not None and not (math.isfinite(self.grid_max) and self.grid_max > 0.0):
+            raise ConfigError(f"grid_max must be finite and positive or None, got {self.grid_max}")
         if self.multiscale is None:
             if self.a < 2 or (self.a & (self.a - 1)) != 0:
                 raise ConfigError(f"scale factor a must be a power of two >= 2, got {self.a}")
@@ -73,25 +75,28 @@ class PipelineConfig:
 
 
 def log_eigen_set(panel, config: PipelineConfig):
-    """Decompose a panel and return (log-eigenvalue set, auto grid_max)."""
+    """Decompose a panel and return (log-eigenvalue set, grid upper bound M).
+
+    M is config.grid_max when set, otherwise the data-driven bound; None on a
+    flat spectrum, where select_scheme falls back to its own spread rule.
+    """
     bank = daubechies(config.n_vanishing)
     decomp = decompose(panel, bank, config.total_octave)
     if config.multiscale is not None:
         h_set = log_eigen_multiscale(decomp, *config.multiscale)
-        auto_m = float(h_set.values[-1] - h_set.values[0])
+        auto_m = h_set.spread
     else:
         wrm = wavelet_random_matrix(decomp, config.total_octave)
         h_set = log_eigen(wrm, config.a)
         auto_m = heuristic_m(decomp, config.j, config.a)
-    return h_set, auto_m
+    if config.grid_max is not None:
+        return h_set, config.grid_max
+    return h_set, (auto_m if auto_m > 0.0 else None)
 
 
 def run_pipeline(panel, config: PipelineConfig, seed: int = 0) -> EstimationResult:
     """Panel through decomposition, log-eigenvalues, and threshold selection."""
-    h_set, auto_m = log_eigen_set(panel, config)
-    grid_max = config.grid_max if config.grid_max is not None else auto_m
-    if grid_max <= 0.0:
-        grid_max = None  # degenerate flat spectrum; fall back to spread rule
+    h_set, grid_max = log_eigen_set(panel, config)
     return select_scheme(
         h_set, m=config.m, grid_max=grid_max, seed=seed, min_cluster=config.min_cluster
     )
@@ -172,9 +177,8 @@ def run_rep(spec: ExperimentSpec, config_index: int, rep_index: int) -> dict:
     records: list[RepRecord] = []
     failure = None
     try:
-        h_set, auto_m = log_eigen_set(panel, cfg)
+        h_set, grid_max = log_eigen_set(panel, cfg)
         if "spectral" in spec.methods:
-            grid_max = cfg.grid_max if cfg.grid_max is not None else (auto_m if auto_m > 0 else None)
             est = select_scheme(h_set, m=cfg.m, grid_max=grid_max, seed=rep_seed,
                                 min_cluster=cfg.min_cluster)
             records.append(_score("spectral", est.r_hat, est.modes, est.probs, dist, est.epsilon_ms))
@@ -200,21 +204,13 @@ class SweepResult:
         raise KeyError((config_label, method))
 
 
-def run_sweep(spec: ExperimentSpec, workers: int = 1, keep_records: bool = True) -> SweepResult:
+def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """All replications of all configs; failures are counted and excluded,
-    never silently dropped.  The result is independent of worker count."""
-    jobs = [(ci, ri) for ci in range(len(spec.configs)) for ri in range(spec.reps)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: run_rep(spec, *job), jobs))
-    else:
-        outcomes = [run_rep(spec, *job) for job in jobs]
-
-    result = SweepResult()
-    if keep_records:
-        result.rep_records = outcomes
+    never silently dropped."""
+    outcomes = [run_rep(spec, ci, ri) for ci in range(len(spec.configs)) for ri in range(spec.reps)]
+    result = SweepResult(rep_records=outcomes)
     for ci, (label, dist) in enumerate(spec.configs):
-        these = [o for o in outcomes if o["config"] == label]
+        these = outcomes[ci * spec.reps : (ci + 1) * spec.reps]
         failures = sum(1 for o in these if o["failure"] is not None)
         for method in spec.methods:
             recs = [r for o in these for r in o["records"] if r.method == method]

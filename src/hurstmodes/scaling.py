@@ -44,8 +44,6 @@ class LogEigenSet:
     """Sorted rescaled/shifted wavelet log-eigenvalues H_1 <= ... <= H_p."""
 
     values: np.ndarray
-    scale_log: float | None  # log a for the single-scale statistic, None for multiscale
-    mode: tuple  # ("single", a, octave) or ("multi", j1, j2)
 
     @property
     def p(self) -> int:
@@ -95,7 +93,7 @@ def log_eigen(wrm: WaveletRandomMatrix, a: int) -> LogEigenSet:
         raise DomainError(f"scale factor a must be >= 2, got {a}")
     lam = _positive_eigenvalues(wrm.matrix, wrm.octave)
     vals = np.log(lam) / (2.0 * np.log(a)) - 0.5
-    return LogEigenSet(vals, float(np.log(a)), ("single", int(a), wrm.octave))
+    return LogEigenSet(vals)
 
 
 def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> LogEigenSet:
@@ -122,7 +120,7 @@ def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> LogE
     # sum_j w_j (x_j - xbar) ybar vanishes, so the centered-x form suffices
     slope = ((w * (x - xbar)) @ y) / (w @ (x - xbar) ** 2)
     vals = np.sort((slope - 1.0) / 2.0)
-    return LogEigenSet(vals, None, ("multi", int(j1), int(j2)))
+    return LogEigenSet(vals)
 
 
 def heuristic_m(decomp: WaveletDecomposition, j: int, a: int) -> float:

@@ -31,7 +31,7 @@ class SelectionTrace:
     icsd_curve: np.ndarray
     chosen_index: int
     excluded: np.ndarray  # True where the min-cluster guard removed the point
-    schemes: tuple[ClusterScheme, ...] | None  # None in lean mode (argmin only)
+    schemes: tuple[ClusterScheme, ...]
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,14 @@ def select_scheme(
     grid_max: float | None = None,
     seed: int = 0,
     min_cluster: int = 2,
-    keep_all: bool = True,
 ) -> EstimationResult:
     """Estimate the Hurst distribution by ICSD-minimizing precision selection.
 
     grid_max is the upper end M of the grid; None derives it from the data
     as the spread of the statistics (an upper bound for any threshold that
-    still separates points).  Single-scale pipelines should pass the
-    fixed-octave heuristic from the scaling module instead.  Ties in the
-    ICSD resolve toward the smaller epsilon.
+    still separates points).  Pipelines pass the bound that
+    harness.log_eigen_set resolves.  Ties in the ICSD resolve toward the
+    smaller epsilon.
     """
     values = h_set.values if isinstance(h_set, LogEigenSet) else np.asarray(h_set, dtype=float)
     if len(values) < 2:
@@ -112,7 +111,7 @@ def select_scheme(
         icsd_curve=curve,
         chosen_index=chosen,
         excluded=excluded,
-        schemes=tuple(schemes) if keep_all else None,
+        schemes=tuple(schemes),
     )
     return EstimationResult(
         r_hat=best.r_hat,

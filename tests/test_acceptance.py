@@ -51,7 +51,7 @@ def bimodal_sweep():
         DELTAS, base=0.25, pipeline=SWEEP_PIPELINE, reps=REPS,
         methods=("spectral", "gmm"), master_seed=20_240_817,
     )
-    return run_sweep(spec, workers=2, keep_records=True)
+    return run_sweep(spec)
 
 
 def proportion_two(result, label: str, method: str) -> float:
@@ -219,7 +219,7 @@ class TestCriterion8ConsistencyTrend:
                 pipeline=PipelineConfig(n=n, p=p, multiscale=window, m=10),
                 reps=50, methods=("spectral",), master_seed=888,
             )
-            res = run_sweep(spec, workers=2, keep_records=True)
+            res = run_sweep(spec)
             hits = [
                 r.correct and r.mode_err < 0.05 and r.prob_err < 0.1
                 for o in res.rep_records

@@ -11,6 +11,7 @@ from hurstmodes import (
     run_rep,
     run_sweep,
 )
+from hurstmodes.harness import log_eigen_set
 
 
 def small_spec(**kwargs):
@@ -69,17 +70,11 @@ class TestRunSweep:
 
     def test_aggregation_matches_records_exactly(self):
         spec = small_spec(reps=4, methods=("spectral",))
-        res = run_sweep(spec, keep_records=True)
+        res = run_sweep(spec)
         recs = [r for o in res.rep_records for r in o["records"]]
         row = res.rows[0]
         assert row["proportion_correct"] == np.mean([r.correct for r in recs])
         assert row["mean_epsilon_ms"] == pytest.approx(np.mean([r.epsilon_ms for r in recs]))
-
-    def test_workers_do_not_change_results(self):
-        spec = small_spec(reps=4)
-        serial = run_sweep(spec, workers=1)
-        threaded = run_sweep(spec, workers=2)
-        assert serial.rows == threaded.rows
 
     def test_failures_counted_not_dropped(self):
         # p exceeds the coefficient count at the coarse octave: rank-deficient
@@ -103,6 +98,15 @@ class TestRunSweep:
             assert row["reps"] == 3
             assert row["reps_used"] + row["failures"] == 3
 
+    def test_shared_label_counted_per_config(self):
+        # rows aggregate by config position, not by label
+        dist = HurstDistribution.uniform([0.2, 0.8])
+        res = run_sweep(small_spec(configs=(("same", dist), ("same", dist)), reps=2,
+                                   methods=("spectral",)))
+        assert len(res.rows) == 2
+        for row in res.rows:
+            assert row["reps_used"] + row["failures"] == 2
+
 
 class TestRunPipeline:
     def test_panel_to_estimate(self):
@@ -120,6 +124,13 @@ class TestRunPipeline:
         b = run_pipeline(panel, cfg, seed=5)
         assert a.r_hat == b.r_hat and a.epsilon_ms == b.epsilon_ms
 
+    def test_log_eigen_set_resolves_grid_max(self):
+        panel, _ = gen_panel(HurstDistribution.uniform([0.3, 0.7]), 8, 2**11, seed=2)
+        h_set, auto = log_eigen_set(panel, PipelineConfig(multiscale=(2, 4)))
+        assert auto == h_set.spread
+        _, fixed = log_eigen_set(panel, PipelineConfig(multiscale=(2, 4), grid_max=0.3))
+        assert fixed == 0.3
+
 
 class TestPaperPlateExample:
     def test_gap_0085_identified_above_three_quarters(self):
@@ -130,7 +141,7 @@ class TestPaperPlateExample:
         dist = HurstDistribution((0.25, 0.335), (0.5, 0.5))
         spec = ExperimentSpec(configs=(("d085", dist),), pipeline=cfg, reps=100,
                               methods=("spectral",), master_seed=31_337)
-        res = run_sweep(spec, workers=2, keep_records=False)
+        res = run_sweep(spec)
         assert res.rows[0]["proportion_correct"] > 0.75
 
 
@@ -154,3 +165,8 @@ class TestExperimentSpec:
     def test_scale_factor_power_of_two(self):
         with pytest.raises(ConfigError):
             PipelineConfig(n=2**10, p=4, a=12, j=1)
+
+    @pytest.mark.parametrize("grid_max", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_grid_max_finite_positive(self, grid_max):
+        with pytest.raises(ConfigError):
+            PipelineConfig(grid_max=grid_max)

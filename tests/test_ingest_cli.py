@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hurstmodes import DataError, HurstDistribution, Panel, gen_panel, read_panel_csv, standardize
+from hurstmodes import cli
 from hurstmodes.cli import main
 
 
@@ -224,6 +225,15 @@ class TestCliSweep:
         spec = tmp_path / "bad.txt"
         spec.write_text("family = bimodal\nwat = 1\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize("line", ["M = 0", "workers = 2"])
+    def test_rejected_before_running(self, tmp_path, monkeypatch, line):
+        ran = []
+        monkeypatch.setattr(cli, "run_sweep", ran.append)
+        spec = tmp_path / "bad.txt"
+        spec.write_text(f"family = bimodal\n{line}\n")
+        assert main(["sweep", "--spec", str(spec)]) == 2
+        assert ran == []
 
     def test_custom_family(self, tmp_path):
         spec = tmp_path / "custom.txt"

@@ -100,11 +100,6 @@ class TestSelectScheme:
         assert est.r_hat == 1
         assert est.icsd == 0.0
 
-    def test_lean_mode_drops_schemes(self, two_groups):
-        est = select_scheme(two_groups, m=10, grid_max=1.0, seed=0, keep_all=False)
-        assert est.trace.schemes is None
-        assert est.r_hat == 2
-
 
 def _scheme_seed(seed, k, m):
     from hurstmodes.selection import _epsilon_seed

@@ -13,6 +13,7 @@ from hurstmodes import (
     gen_panel,
     sample_hurst,
 )
+from hurstmodes import synth
 from hurstmodes.synth import _embedding_sqrt_eigs, _fgn_from_noise, fgn_autocovariance
 
 
@@ -84,6 +85,19 @@ class TestFbmPath:
         gamma = fgn_autocovariance(H, n)
         target = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
         assert np.max(np.abs(t @ t.T - target)) < 1e-8
+
+    @pytest.mark.parametrize("H,n", [(0.996, 2**18), (0.999, 2**18), (0.999999, 2**16)])
+    def test_embedding_psd_near_one(self, H, n):
+        # near H=1, rounding in a directly formed second difference of the
+        # autocovariance turns these embeddings indefinite
+        assert _embedding_sqrt_eigs(H, n) is not None
+
+    def test_non_psd_embedding_raises_without_dense_fallback(self, monkeypatch):
+        monkeypatch.setattr(synth, "_embedding_sqrt_eigs", lambda H, n: None)
+        monkeypatch.setattr(synth, "_fgn_cholesky",
+                            lambda H, n, z: pytest.fail("built the n x n covariance"))
+        with pytest.raises(ConfigError, match="not PSD"):
+            fbm_path(0.7, 64, seed=0)
 
     def test_cholesky_path_covariance_identity(self):
         # cumulative sums of exact fGn must carry the closed-form fBm
