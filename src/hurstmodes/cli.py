@@ -180,39 +180,49 @@ def parse_sweep_spec(path) -> ExperimentSpec:
             key, value = line.split("=", 1)
             kv[key.strip()] = value.strip()  # keys are case-sensitive: m vs M
 
-    def get(key, default=None):
-        return kv.pop(key, default)
+    def floats(text):
+        return tuple(float(s) for s in text.split(","))
+
+    def convert(key, raw, kind):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"sweep spec key {key!r}: cannot read {raw!r} as {kind.__name__}") from None
+
+    def get(key, default=None, kind=None):
+        raw = kv.pop(key, default)
+        return raw if kind is None or raw is None else convert(key, raw, kind)
 
     family = get("family", "bimodal")
-    base = float(get("base", "0.25"))
+    base = get("base", "0.25", float)
     probs = get("probs")
-    n = int(get("n", "16384"))
-    p = int(get("p", "64"))
-    m = int(get("m", "10"))
+    probs = convert("probs", probs, floats) if probs else None
+    n = get("n", "16384", int)
+    p = get("p", "64", int)
+    m = get("m", "10", int)
     value_m = get("M", "auto")
-    grid_max = None if value_m == "auto" else float(value_m)
-    reps = int(get("reps", "200"))
-    seed = int(get("seed", "0"))
-    min_cluster = int(get("min_cluster", "2"))
+    grid_max = None if value_m == "auto" else convert("M", value_m, float)
+    reps = get("reps", "200", int)
+    seed = get("seed", "0", int)
+    min_cluster = get("min_cluster", "2", int)
     methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
     fixed_mix = get("fixed_mix", "false").lower() in ("1", "true", "yes")
-    n_vanishing = int(get("n_vanishing", "2"))
+    n_vanishing = get("n_vanishing", "2", int)
 
     if "j" in kv:
-        pipeline = PipelineConfig(n=n, p=p, a=int(get("a", "16")), j=int(get("j")), m=m,
+        pipeline = PipelineConfig(n=n, p=p, a=get("a", "16", int), j=get("j", kind=int), m=m,
                                   grid_max=grid_max, min_cluster=min_cluster, n_vanishing=n_vanishing)
     else:
-        j1 = int(get("j1", "2"))
-        j2 = int(get("j2", "5"))
+        j1 = get("j1", "2", int)
+        j2 = get("j2", "5", int)
         get("a")  # meaningless for the multiscale statistic; tolerated
         pipeline = PipelineConfig(n=n, p=p, multiscale=(j1, j2), m=m,
                                   grid_max=grid_max, min_cluster=min_cluster, n_vanishing=n_vanishing)
 
     if family == "bimodal":
-        deltas = [float(s) for s in get("deltas", "0,0.025,0.05,0.075,0.1").split(",")]
-        pr = tuple(float(s) for s in probs.split(",")) if probs else (0.5, 0.5)
+        deltas = get("deltas", "0,0.025,0.05,0.075,0.1", floats)
         spec = ExperimentSpec.bimodal_sweep(
-            deltas, base=base, probs=pr, pipeline=pipeline, reps=reps,
+            deltas, base=base, probs=probs or (0.5, 0.5), pipeline=pipeline, reps=reps,
             methods=methods, master_seed=seed, fixed_mix=fixed_mix,
         )
     elif family == "custom":
@@ -221,10 +231,9 @@ def parse_sweep_spec(path) -> ExperimentSpec:
             raise ConfigError("family=custom requires a 'modes' entry")
         configs = []
         for chunk in modes_field.split(";"):
-            modes = [float(s) for s in chunk.split(",")]
+            modes = convert("modes", chunk, floats)
             if probs:
-                pr = tuple(float(s) for s in probs.split(","))
-                dist = HurstDistribution(tuple(sorted(modes)), pr)
+                dist = HurstDistribution(tuple(sorted(modes)), probs)
             else:
                 dist = HurstDistribution.uniform(modes)
             configs.append((chunk.strip(), dist))

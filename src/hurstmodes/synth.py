@@ -2,8 +2,12 @@
 mixed through a (random orthogonal) coordinates matrix.
 
 fBm paths use circulant embedding of the increment process (Davies & Harte
-1987; Dieker 2004), which is exact and O(n log n).  A Cholesky factorization
-of the full covariance is kept as the small-n test oracle.
+1987; Dieker 2004), which is exact and O(n log n).  The embedded spectrum is
+Hermitian and the path real, so synthesis works on the half spectrum only: the
+n+1 distinct circulant eigenvalues come from one real transform of the
+autocovariance and are cached per (H, n) as n+1 scaled weights, and each path
+is one inverse real FFT of length 2n.  A Cholesky factorization of the full
+covariance is kept as the small-n test oracle.
 """
 
 from __future__ import annotations
@@ -189,44 +193,51 @@ def fbm_covariance(H: float, n: int) -> np.ndarray:
     return 0.5 * (s ** (2.0 * H) + u ** (2.0 * H) - np.abs(s - u) ** (2.0 * H))
 
 
-# circulant eigenvalue cache keyed by (H, n): the FFT of the embedded
+# half-spectrum weight cache keyed by (H, n): the transform of the embedded
 # autocovariance is deterministic and reused across paths for the same mode
 _EMBED_CACHE: dict[tuple[float, int], np.ndarray] = {}
 _EMBED_CACHE_MAX = 64
 
 
 def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray | None:
-    """sqrt of the circulant-embedding eigenvalues, or None if not PSD."""
+    """Half-spectrum weights of the circulant embedding, or None if not PSD.
+
+    The symmetric length-2n circulant row has n+1 distinct eigenvalues, at
+    frequencies 0..n.  The weights are their square roots scaled by
+    1/(2 sqrt n), and by sqrt 2 at the real frequencies 0 and n, so that
+    _fgn_from_noise needs one multiply and one inverse real FFT.
+    """
     key = (float(H), int(n))
     hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return hit
-    gamma = fgn_autocovariance(H, n + 1)
-    row = np.concatenate([gamma, gamma[1:-1][::-1]])  # circulant row, length 2n
-    lam = np.fft.fft(row).real
+    lam = np.fft.hfft(fgn_autocovariance(H, n + 1), 2 * n)[: n + 1]
     if lam.min() < -1e-9 * lam.max():
         return None
-    out = np.sqrt(np.clip(lam, 0.0, None))
+    out = np.sqrt(np.clip(lam, 0.0, None)) / (2.0 * np.sqrt(n))
+    out[[0, n]] *= np.sqrt(2.0)
     if len(_EMBED_CACHE) >= _EMBED_CACHE_MAX:
         _EMBED_CACHE.clear()
     _EMBED_CACHE[key] = out
     return out
 
 
-def _fgn_from_noise(z: np.ndarray, sqrt_lam: np.ndarray, n: int) -> np.ndarray:
+def _fgn_from_noise(z: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Deterministic linear map from 2n standard normals to an exact fGn path.
 
+    The normals fill the (conjugated) half of a Hermitian spectrum: z[0] and
+    z[1] at the real frequencies 0 and n, z[2:n+1] - i z[n+1:] in between.
+    Weighted, its inverse real FFT of length 2n is the real embedded path.
     Kept separate from the random draws so its implied covariance can be
     checked column by column in tests.
     """
-    m = 2 * n
-    v = np.zeros(m, dtype=complex)
-    v[0] = z[0] * np.sqrt(2.0)
-    v[n] = z[1] * np.sqrt(2.0)
-    v[1:n] = z[2 : n + 1] + 1j * z[n + 1 : m]
-    v[n + 1 :] = np.conj(v[1:n][::-1])
-    path = np.fft.fft(sqrt_lam * v)[:n].real
-    return path / (2.0 * np.sqrt(n))
+    c = np.empty(n + 1, dtype=complex)
+    c.real[0], c.real[n] = z[0], z[1]
+    c.real[1:n] = z[2 : n + 1]
+    c.imag[[0, n]] = 0.0
+    np.negative(z[n + 1 :], out=c.imag[1:n])
+    c *= weights
+    return np.fft.irfft(c, 2 * n, norm="forward")[:n]
 
 
 def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
@@ -258,10 +269,10 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
     if method == "cholesky":
         fgn = _fgn_cholesky(H, n, z)
     else:
-        sqrt_lam = _embedding_sqrt_eigs(H, n)
-        if sqrt_lam is None:
+        weights = _embedding_sqrt_eigs(H, n)
+        if weights is None:
             raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
-        fgn = _fgn_from_noise(z, sqrt_lam, n)
+        fgn = _fgn_from_noise(z, weights, n)
     return np.cumsum(fgn)
 
 

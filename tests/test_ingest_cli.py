@@ -226,7 +226,8 @@ class TestCliSweep:
         spec.write_text("family = bimodal\nwat = 1\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
 
-    @pytest.mark.parametrize("line", ["M = 0", "workers = 2"])
+    @pytest.mark.parametrize("line", ["M = 0", "workers = 2", "n = x", "M = bogus", "deltas = 0,a",
+                                      "reps = 1.5"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)

@@ -86,6 +86,26 @@ class TestFbmPath:
         target = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
         assert np.max(np.abs(t @ t.T - target)) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 33, 48, 4096])
+    @pytest.mark.parametrize("H", [0.05, 0.5, 0.95])
+    def test_half_spectrum_matches_full_hermitian_fft(self, H, n):
+        # reference: the full length-2n Hermitian vector through a complex FFT;
+        # n=1 leaves the interior v[1:n] empty, odd n and 48 are not powers of two
+        m = 2 * n
+        gamma = fgn_autocovariance(H, n + 1)
+        sqrt_lam = np.sqrt(np.clip(np.fft.fft(np.concatenate([gamma, gamma[1:-1][::-1]])).real, 0.0, None))
+        z = np.random.default_rng(2024).standard_normal(m)
+        v = np.zeros(m, dtype=complex)
+        v[0] = z[0] * np.sqrt(2.0)
+        v[n] = z[1] * np.sqrt(2.0)
+        v[1:n] = z[2 : n + 1] + 1j * z[n + 1 : m]
+        v[n + 1 :] = np.conj(v[1:n][::-1])
+        ref = np.cumsum(np.fft.fft(sqrt_lam * v)[:n].real / (2.0 * np.sqrt(n)))
+
+        assert len(_embedding_sqrt_eigs(H, n)) == n + 1
+        path = fbm_path(H, n, rng=np.random.default_rng(2024))
+        assert np.max(np.abs(path - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("H,n", [(0.996, 2**18), (0.999, 2**18), (0.999999, 2**16)])
     def test_embedding_psd_near_one(self, H, n):
         # near H=1, rounding in a directly formed second difference of the
