@@ -3,13 +3,15 @@ before analyzing real data.
 
 CSV layout: first row holds series identifiers, columns are series, rows
 are time.  An optional leading time-index column is detected (header empty
-or body cells non-numeric) or forced via the time_column argument.  Missing
-cells are rejected outright; no imputation.
+or body cells non-numeric) or forced via the time_column argument.  A cell
+is a number when Python's float() reads it; missing and non-finite cells are
+rejected outright, naming the cell; no imputation.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -21,14 +23,17 @@ __all__ = ["read_panel_csv", "standardize"]
 _NA_STRINGS = {"", "na", "nan", "n/a", "null", "none", "."}
 
 
-def _parse_cell(text: str, row: int, col: int, name: str) -> float:
+def _check_cell(text: str, row: int, col: int, name: str) -> None:
+    """Raise the DataError naming this cell if it is not a finite number."""
     cell = text.strip()
     if cell.lower() in _NA_STRINGS:
         raise DataError(f"missing value at data row {row}, column {name!r} (col {col}); no imputation is performed")
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"cell at data row {row}, column {name!r} (col {col}) is not numeric: {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"cell at data row {row}, column {name!r} (col {col}) is not finite: {cell!r}")
 
 
 def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
@@ -36,9 +41,9 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
 
     time_column: True drops the first column, False keeps it as data, and
     "auto" drops it when its header is empty or any body cell fails numeric
-    parsing.
+    parsing.  A leading UTF-8 byte-order mark is ignored.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     if len(rows) < 3:
         raise DataError(f"{path}: need a header row and at least 2 data rows, found {len(rows)} non-empty rows")
@@ -72,11 +77,24 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
     if not names:
         raise DataError(f"{path}: no data columns after removing the time index")
 
+    # numpy casts each str cell with Python's float(), straight into the
+    # transposed view of the C-ordered result, so no second p x n copy is
+    # made; 1024 rows per call bound numpy's per-row coercion cache
     data = np.empty((len(names), len(body)))
+    try:
+        for k in range(0, len(body), 1024):
+            chunk = body[k:k + 1024]
+            data[:, k:k + 1024].T[...] = [row[start:] for row in chunk] if start else chunk
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(data).all():
+            return Panel(data, kind="observed", series=names)
+    # the conversion failed: name the first bad cell in row-major order
     for i, row in enumerate(body, start=1):
         for j, name in enumerate(names):
-            data[j, i - 1] = _parse_cell(row[start + j], i, start + j, name)
-    return Panel(data, kind="observed", series=names)
+            _check_cell(row[start + j], i, start + j, name)
+    raise DataError(f"{path}: a panel cell is not a finite number")
 
 
 def standardize(panel: Panel) -> Panel:

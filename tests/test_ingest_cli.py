@@ -1,16 +1,20 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstmodes import DataError, HurstDistribution, Panel, gen_panel, read_panel_csv, standardize
 from hurstmodes import cli
 from hurstmodes.cli import main
 
 
-def write_panel_csv(path, data, names=None, time_index=None):
-    """columns = series, rows = time"""
+def write_panel_csv(path, data, names=None, time_index=None, cell=repr):
+    """columns = series, rows = time; cell formats each value"""
     p, n = data.shape
     names = names or [f"s{i}" for i in range(p)]
     with open(path, "w", newline="") as fh:
@@ -18,7 +22,7 @@ def write_panel_csv(path, data, names=None, time_index=None):
         header = (["date"] if time_index is not None else []) + list(names)
         w.writerow(header)
         for t in range(n):
-            row = ([time_index[t]] if time_index is not None else []) + [repr(float(x)) for x in data[:, t]]
+            row = ([time_index[t]] if time_index is not None else []) + [cell(float(x)) for x in data[:, t]]
             w.writerow(row)
 
 
@@ -88,6 +92,116 @@ class TestReadPanelCsv:
         path.write_text("x,y\n1.0,2.0\n1.0,oops\n3.0,4.0\n")
         with pytest.raises(DataError, match="not numeric"):
             read_panel_csv(path)
+
+    @pytest.mark.parametrize("token", ["inf", "-nan", "+NaN", "1e400"])
+    def test_non_finite_cell_named(self, tmp_path, capsys, token):
+        path = tmp_path / "f.csv"
+        path.write_text(f"x,y\n1.0,2.0\n3.0, {token}\n4.0,5.0\n")
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == f"cell at data row 2, column 'y' (col 1) is not finite: {token!r}"
+        assert main(["estimate", "--input", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "data", "message": str(exc.value)}
+
+    @pytest.mark.parametrize("text, first", [
+        ("x,y\n1.0,2.0\n3.0,oops\n,4.0\n",
+         "cell at data row 2, column 'y' (col 1) is not numeric: 'oops'"),
+        ("x,y\n1.0, NA \nbad,2.0\n",
+         "missing value at data row 1, column 'y' (col 1); no imputation is performed"),
+        ("date,x,y\nd1,1.0,inf\nd2,oops,2.0\n",
+         "cell at data row 1, column 'y' (col 2) is not finite: 'inf'"),
+    ])
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, text, first):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == first
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_byte_order_mark_ignored(self, tmp_path, indexed):
+        # the years are numeric, so only the empty header behind the mark
+        # tells "auto" that the first column is a time index
+        lead = ["" if t < 0 else str(2000 + t) for t in range(-1, 4)] if indexed else [None] * 5
+        rows = [["s0", "s1"]] + [[f"{t}.5", f"{t * t}"] for t in range(4)]
+        text = "\n".join(",".join(([c] if c is not None else []) + row) for c, row in zip(lead, rows))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + text + "\n").encode("utf-8"))
+        panel = read_panel_csv(path)
+        assert panel.series == ("s0", "s1")
+        assert np.array_equal(panel.data, [[0.5, 1.5, 2.5, 3.5], [0.0, 1.0, 4.0, 9.0]])
+
+
+# cells that Python's float() reads, with the layout noise a spreadsheet
+# export carries: padding, quotes, CRLF, blank and all-empty rows
+_CONTRACT_CELLS = [
+    [" 1.5 ", '"2.0"', "+1.", "-7"],
+    ["1_000", '" -3e-2 "', ".5e-3", "\uff11\uff12"],
+    ["4", "5", "6", "1E+2"],
+]
+
+
+def _contract_csv(path, index):
+    lines = ["t,a,b,c,d"]
+    for t, row in zip(index, _CONTRACT_CELLS):
+        lines += [",".join([t] + row), "", ",,,,"]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+
+
+def _float_reference(cells):
+    """Per-cell float() conversion, series in rows."""
+    return np.array([[float(next(csv.reader([c]))[0]) for c in row] for row in cells]).T
+
+
+class TestIngestContract:
+    @pytest.mark.parametrize("time_column, index, kept", [
+        ("auto", ["1", "2", "3"], True),
+        ("auto", ["d1", "d2", "d3"], False),
+        (True, ["1", "2", "3"], False),
+        (False, ["1", "2", "3"], True),
+    ])
+    def test_matches_per_cell_float(self, tmp_path, time_column, index, kept):
+        path = tmp_path / "contract.csv"
+        _contract_csv(path, index)
+        panel = read_panel_csv(path, time_column=time_column)
+        cells = [([t] if kept else []) + row for t, row in zip(index, _CONTRACT_CELLS)]
+        assert panel.series == (("t",) if kept else ()) + ("a", "b", "c", "d")
+        assert panel.data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(panel.data, _float_reference(cells))
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_long_panel_round_trip(self, tmp_path, rng, indexed):
+        # 2,500 rows: cells are converted in blocks of rows, and this crosses
+        # two block boundaries
+        data = rng.standard_normal((3, 2500)) * 10.0 ** rng.integers(-300, 300, (3, 2500))
+        path = tmp_path / "long.csv"
+        write_panel_csv(path, data, time_index=[f"t{t}" for t in range(2500)] if indexed else None)
+        panel = read_panel_csv(path)
+        assert panel.series == ("s0", "s1", "s2")
+        assert panel.data.flags["C_CONTIGUOUS"]
+        assert panel.data.tobytes() == data.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.integers(1, 5).flatmap(lambda p: st.integers(2, 12).flatmap(lambda n: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+            min_size=p, max_size=p))),
+        names=st.lists(st.text("abcXYZ019_ ,;\"'-.", min_size=1, max_size=6).map(str.strip).filter(bool),
+                       min_size=5, max_size=5, unique=True),
+        fmt=st.sampled_from(["%.17g", "repr"]),
+        indexed=st.booleans(),
+    )
+    def test_write_read_round_trip(self, data, names, fmt, indexed):
+        values = np.array(data)
+        p, n = values.shape
+        cell = repr if fmt == "repr" else (lambda x: fmt % x)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.csv"
+            write_panel_csv(path, values, names[:p], [f"t{t}" for t in range(n)] if indexed else None, cell)
+            panel = read_panel_csv(path)
+        assert panel.series == tuple(names[:p])
+        assert panel.data.tobytes() == values.tobytes()
 
 
 class TestCliEstimate:
