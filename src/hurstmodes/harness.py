@@ -77,15 +77,19 @@ class PipelineConfig:
 def log_eigen_set(panel, config: PipelineConfig):
     """Decompose a panel and return (log-eigenvalue set, grid upper bound M).
 
-    M is config.grid_max when set, otherwise the data-driven bound; None on a
-    flat spectrum, where select_scheme falls back to its own spread rule.
+    Only the octaves the statistic reads are kept, as contiguous arrays:
+    j1..j2 for the multiscale statistic, the analysis octave j + log2 a
+    otherwise.  M is config.grid_max when set, otherwise the data-driven
+    bound; None on a flat spectrum, where select_scheme falls back to its
+    own spread rule.
     """
     bank = daubechies(config.n_vanishing)
-    decomp = decompose(panel, bank, config.total_octave)
     if config.multiscale is not None:
+        decomp = decompose(panel, bank, config.total_octave, config.multiscale[0])
         h_set = log_eigen_multiscale(decomp, *config.multiscale)
         auto_m = h_set.spread
     else:
+        decomp = decompose(panel, bank, config.total_octave, config.total_octave)
         wrm = wavelet_random_matrix(decomp, config.total_octave)
         h_set = log_eigen(wrm, config.a)
         auto_m = heuristic_m(decomp, config.j, config.a)

@@ -41,10 +41,25 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
 
     time_column: True drops the first column, False keeps it as data, and
     "auto" drops it when its header is empty or any body cell fails numeric
-    parsing.  A leading UTF-8 byte-order mark is ignored.
+    parsing.  The file must be UTF-8 text (a non-UTF-8 byte raises DataError
+    naming its line); a leading byte-order mark is ignored.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError:
+        # text is decoded in chunks, so find the line by decoding line by
+        # line; a UTF-8 sequence never holds a newline byte
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(
+                        f"{path}: line {number} is not UTF-8 text "
+                        f"(byte 0x{line[exc.start]:02x} at byte {exc.start + 1} of the line)"
+                    ) from None
+        raise
     if len(rows) < 3:
         raise DataError(f"{path}: need a header row and at least 2 data rows, found {len(rows)} non-empty rows")
     header, body = rows[0], rows[1:]

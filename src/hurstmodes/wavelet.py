@@ -4,7 +4,9 @@ The transform keeps, at every octave, only the detail coefficients whose
 dependency cone lies entirely inside the observed samples (no zero-padding
 contamination at the series edges).  Those are the coefficients with shift
 index k in [ceil(T/2^j), floor((n+1)/2^j - T)] for a length-T filter, and
-their count n_j ~ n/2^j is the effective sample size at octave j.
+their count n_j ~ n/2^j is the effective sample size at octave j.  Only
+the octaves a statistic reads are kept, each as a C-contiguous p x n_j
+array; the pyramid computes no high-pass below them and none deeper.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ def max_octave(n: int, support_length: int) -> int:
 
 @dataclass(frozen=True)
 class WaveletDecomposition:
-    """Border-trimmed detail coefficients per octave for a p-row panel."""
+    """Border-trimmed detail coefficients of the kept octaves for a p-row panel."""
 
-    details: dict[int, np.ndarray]  # octave -> p x n_j matrix
+    details: dict[int, np.ndarray]  # kept octave -> C-contiguous p x n_j matrix
     counts: dict[int, int]
     octave_range: tuple[int, int]
     source_n: int
@@ -158,19 +160,24 @@ class WaveletDecomposition:
         return self.details[octave]
 
 
-def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int) -> WaveletDecomposition:
-    """Pyramidal analysis of a panel down to octave j_max.
+def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) -> WaveletDecomposition:
+    """Pyramidal analysis of a panel, keeping the details of octaves j_min..j_max.
 
     Octave 0 approximations are the raw samples; each coarser octave comes
-    from the downsampled low/high-pass recursion, and the stored details are
-    trimmed to the border-free window.  Raises ConfigError naming the first
-    octave for which the series is too short.
+    from the downsampled low/high-pass recursion (Percival & Walden 2000,
+    section 4.6).  The low-pass runs down to octave j_max - 1 and the
+    high-pass only at the kept octaves; each kept detail matrix is the
+    border-free window, stored as a C-contiguous p x n_j array, and every
+    full-length convolution is a per-row temporary.  Raises ConfigError
+    naming the first octave for which the series is too short.
     """
     data = panel.data if isinstance(panel, Panel) else np.atleast_2d(np.asarray(panel, dtype=float))
     p, n = data.shape
     t = bank.support_length
     if j_max < 1:
         raise ConfigError(f"j_max must be >= 1, got {j_max}")
+    if not 1 <= j_min <= j_max:
+        raise ConfigError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
     for j in range(1, j_max + 1):
         if trimmed_count(n, t, j) < 1:
             raise ConfigError(
@@ -190,23 +197,24 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int) -> Wavele
         k0_new = -((-(k0 - t + 1)) // 2)  # ceil((k0 - T + 1) / 2)
         k1_new = (k0 + length - 1) // 2
         width = k1_new - k0_new + 1
-        start = 2 * k0_new + t - 1 - k0
+        start = 2 * k0_new + t - 1 - k0  # full-convolution index of shift k0_new
 
-        conv_u = np.empty((p, length + t - 1))
-        conv_v = np.empty((p, length + t - 1))
-        for i in range(p):
-            conv_u[i] = np.convolve(approx[i], u_rev)
-            conv_v[i] = np.convolve(approx[i], v_rev)
-        approx = conv_u[:, start :: 2][:, :width]
-        detail = conv_v[:, start :: 2][:, :width]
-
-        j2 = 2**j
-        k_lo = -((-t) // j2)
-        k_hi = (n + 1 - t * j2) // j2
-        if not (k0_new <= k_lo and k_hi <= k1_new):
-            raise AssertionError("border-free window escaped the computed support")
-        details[j] = detail[:, k_lo - k0_new : k_hi - k0_new + 1]
-        counts[j] = k_hi - k_lo + 1
+        if j >= j_min:
+            j2 = 2**j
+            k_lo = -((-t) // j2)
+            k_hi = (n + 1 - t * j2) // j2
+            if not (k0_new <= k_lo and k_hi <= k1_new):
+                raise AssertionError("border-free window escaped the computed support")
+            count = counts[j] = k_hi - k_lo + 1
+            first = start + 2 * (k_lo - k0_new)
+            detail = details[j] = np.empty((p, count))
+            for i in range(p):
+                detail[i] = np.convolve(approx[i], v_rev)[first : first + 2 * count : 2]
+        if j < j_max:
+            coarser = np.empty((p, width))
+            for i in range(p):
+                coarser[i] = np.convolve(approx[i], u_rev)[start : start + 2 * width : 2]
+            approx = coarser
         k0 = k0_new
 
-    return WaveletDecomposition(details, counts, (1, j_max), n, bank)
+    return WaveletDecomposition(details, counts, (j_min, j_max), n, bank)

@@ -132,6 +132,20 @@ class TestReadPanelCsv:
         assert panel.series == ("s0", "s1")
         assert np.array_equal(panel.data, [[0.5, 1.5, 2.5, 3.5], [0.0, 1.0, 4.0, 9.0]])
 
+    def test_non_utf8_byte_names_line(self, tmp_path, capsys):
+        # a Latin-1 export: 0xE9 is "é" there and no UTF-8 sequence; the
+        # filler rows push the byte past the first decoded chunk
+        path = tmp_path / "latin1.csv"
+        filler = b"".join(b"%d.0,%d.5\n" % (t, t) for t in range(2000))
+        path.write_bytes(b"\xef\xbb\xbfx,y\n" + filler + b"caf\xe9,3.0\n4.0,5.0\n")
+        expected = f"{path}: line 2002 is not UTF-8 text (byte 0xe9 at byte 4 of the line)"
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == expected
+        assert main(["estimate", "--input", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "data", "message": expected}
+
 
 # cells that Python's float() reads, with the layout noise a spreadsheet
 # export carries: padding, quotes, CRLF, blank and all-empty rows

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hurstmodes import ConfigError, daubechies, decompose, fbm_path, max_octave
+from hurstmodes import ConfigError, DomainError, daubechies, decompose, fbm_path, max_octave
 from hurstmodes.wavelet import trimmed_count
 
 SQRT2 = np.sqrt(2.0)
@@ -144,6 +148,66 @@ class TestDecompose:
                 if prev is not None:
                     assert n_j <= prev
                 prev = n_j
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("j_min,j_max", [(1, 1), (1, 6), (2, 5), (3, 3), (4, 6), (6, 6)])
+    def test_kept_octaves_equal_full_pyramid(self, rng, order, j_min, j_max):
+        bank = daubechies(order)
+        y = rng.standard_normal((3, 1500))
+        full = decompose(y, bank, j_max)
+        lean = decompose(y, bank, j_max, j_min)
+        kept = list(range(j_min, j_max + 1))
+        assert list(lean.details) == kept and list(lean.counts) == kept
+        assert lean.octave_range == (j_min, j_max)
+        for j in kept:
+            assert lean.details[j].flags.c_contiguous
+            assert lean.details[j].shape == (3, lean.counts[j])
+            assert lean.counts[j] == full.counts[j]
+            assert np.array_equal(lean.details[j], full.details[j])
+        for j in range(1, j_min):
+            with pytest.raises(DomainError, match=f"octave {j} not in decomposition"):
+                lean.require_octave(j)
+
+    @pytest.mark.parametrize("j_min", [0, -1, 4])
+    def test_j_min_out_of_range(self, j_min):
+        with pytest.raises(ConfigError, match="j_min"):
+            decompose(np.zeros((1, 512)), daubechies(2), 3, j_min)
+
+    def test_kept_octaves_bound_memory(self, rng):
+        # only the kept details and the next approximation are allocated:
+        # octave 1's p x n/2 approximation is the largest array made
+        y = rng.standard_normal((32, 2**15))
+        tracemalloc.start()
+        try:
+            decomp = decompose(y, daubechies(2), 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(decomp.details) == [2, 3, 4, 5]
+        assert peak < 1.5 * y.nbytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        j_min=st.integers(2, 5),
+        depth=st.integers(0, 2),
+        shift=st.integers(1, 3),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shift_equivariance(self, order, j_min, depth, shift, extra, seed):
+        # dropping shift * 2^j leading samples moves octave j's detail
+        # sequence by shift coefficients and shortens its window by as many
+        bank = daubechies(order)
+        t, j_max = bank.support_length, j_min + depth
+        scale = 2**j_max
+        n = scale * (-(-t // scale) + t) - 1 + shift * scale + extra  # octave j_max survives the shift
+        y = np.random.default_rng(seed).standard_normal((2, n))
+        base = decompose(y, bank, j_max, j_min)
+        for j in range(j_min, j_max + 1):
+            moved = decompose(y[:, shift * 2**j :], bank, j_max, j_min)
+            assert moved.counts[j] == base.counts[j] - shift
+            np.testing.assert_allclose(moved.details[j], base.details[j][:, shift:], rtol=0, atol=1e-12)
 
     def test_insufficient_length_names_octave(self):
         with pytest.raises(ConfigError, match="octave"):
