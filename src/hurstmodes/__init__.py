@@ -25,14 +25,7 @@ from .errors import ConfigError, DataError, DegenerateSpectrumError, DomainError
 from .gmm import GmmFit, fit_gmm, select_gmm
 from .harness import ExperimentSpec, PipelineConfig, RepRecord, SweepResult, run_pipeline, run_rep, run_sweep
 from .ingest import read_panel_csv, standardize
-from .scaling import (
-    LogEigenSet,
-    WaveletRandomMatrix,
-    heuristic_m,
-    log_eigen,
-    log_eigen_multiscale,
-    wavelet_random_matrix,
-)
+from .scaling import WaveletRandomMatrix, heuristic_m, log_eigen, log_eigen_multiscale, wavelet_random_matrix
 from .selection import EstimationResult, SelectionTrace, select_scheme
 from .synth import (
     HurstDistribution,
@@ -50,7 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterScheme", "ConfigError", "DataError", "DegenerateSpectrumError", "DomainError",
     "EpsilonGraph", "EstimationResult", "ExperimentSpec", "FilterBank", "GmmFit",
-    "HurstDistribution", "LaplacianSpectrum", "LogEigenSet", "MixingMatrix", "Panel",
+    "HurstDistribution", "LaplacianSpectrum", "MixingMatrix", "Panel",
     "PipelineConfig", "RepRecord", "SelectionTrace", "SweepResult", "WaveletDecomposition",
     "WaveletRandomMatrix", "daubechies", "decompose", "eigengap_count", "epsilon_graph",
     "estimate_at_epsilon", "fbm_covariance", "fbm_path", "fit_gmm", "gen_panel",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .scaling import LogEigenSet
 from .synth import subseed
 
 __all__ = [
@@ -30,6 +29,8 @@ __all__ = [
     "laplacian_spectrum",
     "spectral_embed",
 ]
+
+_MAX_ITERS = 100  # Lloyd iterations before kmeans stops without converging
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,10 @@ def _farthest_point_init(x: np.ndarray, kappa: int, rng: np.random.Generator) ->
     return centers
 
 
-def kmeans(points: np.ndarray, kappa: int, seed: int = 0, max_iters: int = 100) -> tuple[tuple[int, ...], ...]:
+def kmeans(points: np.ndarray, kappa: int, seed: int = 0) -> tuple[tuple[int, ...], ...]:
     """Lloyd iteration on d-dimensional points, deterministic under seed.
 
-    Stops when the centers stop moving (or at max_iters, a guard real
+    Stops when the centers stop moving (or after _MAX_ITERS, a guard real
     arithmetic needs even though exact convergence is typical).  Empty
     clusters are reseeded at the point farthest from their stale center.
     Returns the partition as index tuples, ordered by smallest member.
@@ -138,7 +139,7 @@ def kmeans(points: np.ndarray, kappa: int, seed: int = 0, max_iters: int = 100) 
 
     centers = _farthest_point_init(x, kappa, subseed(seed, 3))
     labels = np.zeros(p, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
         labels = np.argmin(d2, axis=1)  # ties go to the lowest center index
         new_centers = centers.copy()
@@ -167,7 +168,7 @@ def icsd(values: np.ndarray, clusters) -> float:
     return total
 
 
-def estimate_at_epsilon(h_set: LogEigenSet | np.ndarray, eps: float, seed: int = 0) -> ClusterScheme:
+def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> ClusterScheme:
     """Full fixed-precision estimation chain on a log-eigenvalue set.
 
     Threshold graph, Laplacian eigengap for the number of modes, spectral
@@ -175,7 +176,7 @@ def estimate_at_epsilon(h_set: LogEigenSet | np.ndarray, eps: float, seed: int =
     and mode/probability estimates plus the ICSD are computed from them.
     A count of one short-circuits to the single whole-set cluster.
     """
-    values = h_set.values if isinstance(h_set, LogEigenSet) else np.asarray(h_set, dtype=float)
+    values = np.asarray(h_set, dtype=float)
     p = len(values)
     if p < 2:
         raise DomainError(f"need at least 2 points, got {p}")

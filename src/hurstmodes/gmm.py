@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .scaling import LogEigenSet
 
 __all__ = ["GmmFit", "fit_gmm", "select_gmm"]
 
@@ -115,13 +114,13 @@ def _bic(loglik: float, k: int, n: int) -> float:
     return -2.0 * loglik + (3 * k - 1) * np.log(n)
 
 
-def select_gmm(h_set: LogEigenSet | np.ndarray, k_max: int = 3, seed: int = 0) -> GmmFit:
+def select_gmm(h_set: np.ndarray, k_max: int = 3, seed: int = 0) -> GmmFit:
     """Best fit over k = 1..k_max by the BIC criterion (smaller is better).
 
     The fit is deterministic, so seed is accepted only for interface
     symmetry with the spectral pipeline.
     """
-    x = h_set.values if isinstance(h_set, LogEigenSet) else np.asarray(h_set, dtype=float)
+    x = np.asarray(h_set, dtype=float)
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     if len(x) < 2 * k_max:

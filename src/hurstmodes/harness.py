@@ -75,7 +75,7 @@ class PipelineConfig:
 
 
 def log_eigen_set(panel, config: PipelineConfig):
-    """Decompose a panel and return (log-eigenvalue set, grid upper bound M).
+    """Decompose a panel and return (sorted statistics, grid upper bound M).
 
     Only the octaves the statistic reads are kept, as contiguous arrays:
     j1..j2 for the multiscale statistic, the analysis octave j + log2 a
@@ -87,12 +87,12 @@ def log_eigen_set(panel, config: PipelineConfig):
     if config.multiscale is not None:
         decomp = decompose(panel, bank, config.total_octave, config.multiscale[0])
         h_set = log_eigen_multiscale(decomp, *config.multiscale)
-        auto_m = h_set.spread
+        auto_m = float(h_set[-1] - h_set[0])
     else:
         decomp = decompose(panel, bank, config.total_octave, config.total_octave)
         wrm = wavelet_random_matrix(decomp, config.total_octave)
         h_set = log_eigen(wrm, config.a)
-        auto_m = heuristic_m(decomp, config.j, config.a)
+        auto_m = heuristic_m(wrm, config.a)
     if config.grid_max is not None:
         return h_set, config.grid_max
     return h_set, (auto_m if auto_m > 0.0 else None)
@@ -142,14 +142,13 @@ class ExperimentSpec:
     methods: tuple[str, ...] = ("spectral", "gmm")
     master_seed: int = 0
     fixed_mix: bool = False  # one mixing matrix for all reps instead of redrawing
-    gmm_k_max: int = 3
 
     def __post_init__(self):
         for method in self.methods:
             if method not in ("spectral", "gmm"):
                 raise ConfigError(f"unknown method {method!r}")
         cfg = self.pipeline
-        scale = cfg.a * 2**cfg.j if cfg.multiscale is None else 2 ** cfg.multiscale[1]
+        scale = 2**cfg.total_octave
         if cfg.p >= cfg.n / scale:
             warnings.warn(
                 f"p={cfg.p} is not below n/scale = {cfg.n / scale:.1f}; the moderately "
@@ -187,7 +186,7 @@ def run_rep(spec: ExperimentSpec, config_index: int, rep_index: int) -> dict:
                                 min_cluster=cfg.min_cluster)
             records.append(_score("spectral", est.r_hat, est.modes, est.probs, dist, est.epsilon_ms))
         if "gmm" in spec.methods:
-            fit = select_gmm(h_set, k_max=spec.gmm_k_max, seed=rep_seed)
+            fit = select_gmm(h_set, seed=rep_seed)
             records.append(_score("gmm", fit.k, fit.means, fit.weights, dist))
     except DegenerateSpectrumError as exc:
         failure = str(exc)

@@ -124,4 +124,4 @@ def standardize(panel: Panel) -> Panel:
     if len(bad):
         names = [panel.series[i] if panel.series else f"row {i}" for i in bad]
         raise DataError(f"series with zero first-difference variance: {', '.join(map(str, names))}")
-    return Panel(panel.data / sd[:, None], kind=panel.kind, seed=panel.seed, series=panel.series)
+    return Panel(panel.data / sd[:, None], kind=panel.kind, series=panel.series)

@@ -19,7 +19,6 @@ from .errors import ConfigError, DegenerateSpectrumError, DomainError
 from .wavelet import WaveletDecomposition
 
 __all__ = [
-    "LogEigenSet",
     "WaveletRandomMatrix",
     "heuristic_m",
     "log_eigen",
@@ -37,21 +36,6 @@ class WaveletRandomMatrix:
     matrix: np.ndarray
     octave: int
     effective_count: int
-
-
-@dataclass(frozen=True)
-class LogEigenSet:
-    """Sorted rescaled/shifted wavelet log-eigenvalues H_1 <= ... <= H_p."""
-
-    values: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return len(self.values)
-
-    @property
-    def spread(self) -> float:
-        return float(self.values[-1] - self.values[0])
 
 
 def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletRandomMatrix:
@@ -87,22 +71,22 @@ def _positive_eigenvalues(matrix: np.ndarray, octave: int) -> np.ndarray:
     return lam
 
 
-def log_eigen(wrm: WaveletRandomMatrix, a: int) -> LogEigenSet:
+def log_eigen(wrm: WaveletRandomMatrix, a: int) -> np.ndarray:
     """Per-rank statistic log lambda_l / (2 log a) - 1/2, sorted ascending."""
     if a < 2:
         raise DomainError(f"scale factor a must be >= 2, got {a}")
     lam = _positive_eigenvalues(wrm.matrix, wrm.octave)
-    vals = np.log(lam) / (2.0 * np.log(a)) - 0.5
-    return LogEigenSet(vals)
+    return np.log(lam) / (2.0 * np.log(a)) - 0.5
 
 
-def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> LogEigenSet:
+def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> np.ndarray:
     """Weighted-least-squares slope statistic across octaves j1..j2.
 
     For each eigenvalue rank, regress log2 lambda_l at octave j on j with
     weights proportional to the effective counts n_j; the estimate is
     (slope - 1) / 2.  Scale-independent constants cancel in the slope, so
     this variant has smaller finite-sample bias than the single-scale one.
+    Returns the statistics sorted ascending.
     """
     if not j1 < j2:
         raise ConfigError(f"need j1 < j2, got j1={j1}, j2={j2}")
@@ -119,19 +103,16 @@ def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> LogE
     xbar = (w @ x) / w.sum()
     # sum_j w_j (x_j - xbar) ybar vanishes, so the centered-x form suffices
     slope = ((w * (x - xbar)) @ y) / (w @ (x - xbar) ** 2)
-    vals = np.sort((slope - 1.0) / 2.0)
-    return LogEigenSet(vals)
+    return np.sort((slope - 1.0) / 2.0)
 
 
-def heuristic_m(decomp: WaveletDecomposition, j: int, a: int) -> float:
+def heuristic_m(wrm: WaveletRandomMatrix, a: int) -> float:
     """Data-driven upper bound for useful clustering precision values:
-    log of the extreme-eigenvalue ratio of the analysis-scale matrix (octave
-    j + log2 a), divided by 2 log a.  This equals the exact spread of the
-    rescaled log-eigenvalue statistics, so every threshold that can produce
-    more than one cluster lies below it.  Zero when the spectrum is flat."""
+    log of the extreme-eigenvalue ratio of the analysis-scale matrix,
+    divided by 2 log a.  This equals the spread of log_eigen(wrm, a), so
+    every threshold that can produce more than one cluster lies below it.
+    Zero when the spectrum is flat."""
     if a < 2:
         raise DomainError(f"scale factor a must be >= 2, got {a}")
-    octave = j + int(round(np.log2(a)))
-    wrm = wavelet_random_matrix(decomp, octave)
-    lam = _positive_eigenvalues(wrm.matrix, octave)
+    lam = _positive_eigenvalues(wrm.matrix, wrm.octave)
     return float(np.log(lam[-1] / lam[0]) / (2.0 * np.log(a)))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .cluster import ClusterScheme, estimate_at_epsilon
 from .errors import ConfigError, DomainError
-from .scaling import LogEigenSet
 from .synth import subseed
 
 __all__ = ["EstimationResult", "SelectionTrace", "select_scheme"]
@@ -55,7 +54,7 @@ def _epsilon_seed(seed: int, k: int, m: int) -> int:
 
 
 def select_scheme(
-    h_set: LogEigenSet | np.ndarray,
+    h_set: np.ndarray,
     m: int = 10,
     grid_max: float | None = None,
     seed: int = 0,
@@ -69,7 +68,7 @@ def select_scheme(
     harness.log_eigen_set resolves.  Ties in the ICSD resolve toward the
     smaller epsilon.
     """
-    values = h_set.values if isinstance(h_set, LogEigenSet) else np.asarray(h_set, dtype=float)
+    values = np.asarray(h_set, dtype=float)
     if len(values) < 2:
         raise DomainError(f"need at least 2 statistics, got {len(values)}")
     if m < 1:

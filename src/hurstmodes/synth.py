@@ -135,7 +135,6 @@ class Panel:
 
     data: np.ndarray
     kind: str = "observed"  # "latent" or "observed"
-    seed: int | None = None
     series: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -307,4 +306,4 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
             raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
         y = mix.matrix @ x
         kind = "observed"
-    return Panel(y, kind=kind, seed=seed), h
+    return Panel(y, kind=kind), h

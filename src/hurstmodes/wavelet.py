@@ -148,7 +148,6 @@ class WaveletDecomposition:
     counts: dict[int, int]
     octave_range: tuple[int, int]
     source_n: int
-    bank: FilterBank
 
     def require_octave(self, octave: int) -> np.ndarray:
         if octave not in self.details:
@@ -217,4 +216,4 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
             approx = coarser
         k0 = k0_new
 
-    return WaveletDecomposition(details, counts, (j_min, j_max), n, bank)
+    return WaveletDecomposition(details, counts, (j_min, j_max), n)

@@ -127,7 +127,7 @@ class TestRunPipeline:
     def test_log_eigen_set_resolves_grid_max(self):
         panel, _ = gen_panel(HurstDistribution.uniform([0.3, 0.7]), 8, 2**11, seed=2)
         h_set, auto = log_eigen_set(panel, PipelineConfig(multiscale=(2, 4)))
-        assert auto == h_set.spread
+        assert auto == float(h_set[-1] - h_set[0])
         _, fixed = log_eigen_set(panel, PipelineConfig(multiscale=(2, 4), grid_max=0.3))
         assert fixed == 0.3
 

@@ -319,6 +319,21 @@ class TestCliSpectrum:
             2 * np.array(h["histogram"]["bin_edges"]) + 1, atol=1e-12,
         )
 
+    @pytest.mark.parametrize("subcommand, bins", [("estimate", "0"), ("spectrum", "-2")])
+    def test_nonpositive_bins_exit_2_before_reading(self, fbm_csv, monkeypatch, capsys, subcommand, bins):
+        read = []
+        monkeypatch.setattr(cli, "read_panel_csv", lambda *args, **kwargs: read.append(args))
+        assert main([subcommand, "--input", str(fbm_csv), "--bins", bins]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert read == []
+
+    @pytest.mark.parametrize("subcommand, fmt", [("estimate", "json"), ("spectrum", "csv")])
+    def test_format_flag_rejected(self, fbm_csv, subcommand, fmt):
+        # only sweep writes tables; estimate and spectrum always print JSON
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--input", str(fbm_csv), "--format", fmt])
+        assert exc.value.code == 2
+
 
 class TestCliSweep:
     def test_end_to_end(self, tmp_path):

@@ -24,7 +24,7 @@ from test_wavelet import reference_pyramid
 def fake_decomposition(details: dict[int, np.ndarray], n: int = 0) -> WaveletDecomposition:
     counts = {j: d.shape[1] for j, d in details.items()}
     octaves = sorted(details)
-    return WaveletDecomposition(details, counts, (octaves[0], octaves[-1]), n, daubechies(1))
+    return WaveletDecomposition(details, counts, (octaves[0], octaves[-1]), n)
 
 
 def diagonal_details(eigenvalues, n_j: int) -> np.ndarray:
@@ -96,20 +96,20 @@ class TestLogEigen:
         lam = [float(a) ** (2 * H + 1)] * 5
         w = wavelet_random_matrix(fake_decomposition({1: diagonal_details(lam, 16)}), 1)
         h = log_eigen(w, a)
-        assert np.allclose(h.values, H, atol=1e-12)
+        assert np.allclose(h, H, atol=1e-12)
 
     def test_unit_eigenvalues_give_minus_half(self):
         w = wavelet_random_matrix(fake_decomposition({1: diagonal_details([1.0] * 4, 8)}), 1)
         for a in (2, 16, 64):
-            assert np.allclose(log_eigen(w, a).values, -0.5, atol=1e-12)
+            assert np.allclose(log_eigen(w, a), -0.5, atol=1e-12)
 
     def test_sorted_output_monotone_in_spectrum(self):
         lam = [0.5, 1.0, 4.0, 9.0]
         w = wavelet_random_matrix(fake_decomposition({1: diagonal_details(lam, 8)}), 1)
         h = log_eigen(w, 4)
-        assert np.all(np.diff(h.values) >= 0)
+        assert np.all(np.diff(h) >= 0)
         expected = np.log(np.sort(lam)) / (2 * np.log(4)) - 0.5
-        assert np.allclose(h.values, expected, atol=1e-12)
+        assert np.allclose(h, expected, atol=1e-12)
 
     def test_degenerate_spectrum_raises(self):
         d = np.ones((3, 5))  # rank one, zero eigenvalues present
@@ -142,7 +142,7 @@ class TestLogEigen:
             panel, _ = gen_panel(HurstDistribution.point(H), 64, 2**14, seed=seed)
             decomp = decompose(panel, bank, 5)
             h = log_eigen(wavelet_random_matrix(decomp, 5), a)
-            medians.append(np.median(h.values))
+            medians.append(np.median(h))
         assert np.mean(medians) == pytest.approx(predicted, abs=0.1)
 
     def test_multiscale_single_mode_location(self):
@@ -152,7 +152,7 @@ class TestLogEigen:
         for seed in range(3):
             panel, _ = gen_panel(HurstDistribution.point(H), 64, 2**14, seed=seed)
             decomp = decompose(panel, daubechies(2), 5)
-            means.append(np.mean(log_eigen_multiscale(decomp, 2, 5).values))
+            means.append(np.mean(log_eigen_multiscale(decomp, 2, 5)))
         assert np.mean(means) == pytest.approx(H, abs=0.1)
 
 
@@ -161,7 +161,7 @@ class TestLogEigenMultiscale:
         H = 0.35
         details = {j: diagonal_details([2.0 ** (j * (2 * H + 1))] * 4, 64) for j in (2, 3, 4, 5)}
         h = log_eigen_multiscale(fake_decomposition(details), 2, 5)
-        assert np.allclose(h.values, H, atol=1e-10)
+        assert np.allclose(h, H, atol=1e-10)
 
     def test_two_octave_window_is_two_point_slope(self, rng):
         lam2 = np.sort(rng.uniform(1.0, 2.0, 4))
@@ -169,7 +169,7 @@ class TestLogEigenMultiscale:
         details = {2: diagonal_details(lam2, 32), 3: diagonal_details(lam3, 16)}
         h = log_eigen_multiscale(fake_decomposition(details), 2, 3)
         slope = np.log2(lam3) - np.log2(lam2)  # rank-paired two-point slope
-        assert np.allclose(h.values, np.sort((slope - 1.0) / 2.0), atol=1e-10)
+        assert np.allclose(h, np.sort((slope - 1.0) / 2.0), atol=1e-10)
 
     def test_octave_order_validated(self):
         details = {2: diagonal_details([1, 2], 8), 3: diagonal_details([1, 2], 8)}
@@ -184,13 +184,13 @@ class TestLogEigenMultiscale:
 
 class TestHeuristicM:
     def test_flat_spectrum_zero(self):
-        details = {1: diagonal_details([3.0] * 4, 8), 5: diagonal_details([3.0] * 4, 8)}
-        assert heuristic_m(fake_decomposition(details), 1, 16) == pytest.approx(0.0, abs=1e-12)
+        w = wavelet_random_matrix(fake_decomposition({5: diagonal_details([3.0] * 4, 8)}), 5)
+        assert heuristic_m(w, 16) == pytest.approx(0.0, abs=1e-12)
 
     def test_ratio_a_squared_gives_one(self):
         a = 16
-        details = {5: diagonal_details([1.0, 4.0, float(a) ** 2], 8), 1: diagonal_details([1.0] * 3, 8)}
-        assert heuristic_m(fake_decomposition(details), 1, a) == pytest.approx(1.0, abs=1e-12)
+        w = wavelet_random_matrix(fake_decomposition({5: diagonal_details([1.0, 4.0, float(a) ** 2], 8)}), 5)
+        assert heuristic_m(w, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_statistic_spread_and_bounds_within_mode_spread(self):
         # on the analysis-scale matrix, M is exactly the spread of the
@@ -199,17 +199,18 @@ class TestHeuristicM:
         dist = HurstDistribution((0.25, 0.35), (0.5, 0.5))
         panel, h_true = gen_panel(dist, 64, 2**14, seed=21)
         decomp = decompose(panel, daubechies(2), 5)
-        m = heuristic_m(decomp, 1, 16)
-        h = log_eigen(wavelet_random_matrix(decomp, 5), 16)
-        assert m == pytest.approx(h.values[-1] - h.values[0], abs=1e-12)
+        w = wavelet_random_matrix(decomp, 5)
+        m = heuristic_m(w, 16)
+        h = log_eigen(w, 16)
+        assert m == pytest.approx(h[-1] - h[0], abs=1e-12)
         n1 = int(np.sum(h_true == 0.25))
-        within = max(np.ptp(h.values[:n1]), np.ptp(h.values[n1:]))
+        within = max(np.ptp(h[:n1]), np.ptp(h[n1:]))
         assert m >= within
 
     def test_degenerate_raises(self):
-        details = {1: np.ones((3, 4)), 5: np.ones((3, 4))}
+        w = wavelet_random_matrix(fake_decomposition({5: np.ones((3, 4))}), 5)
         with pytest.raises(DegenerateSpectrumError):
-            heuristic_m(fake_decomposition(details), 1, 16)
+            heuristic_m(w, 16)
 
 
 class TestRankPairingTrend:
@@ -224,6 +225,6 @@ class TestRankPairingTrend:
                 panel, _ = gen_panel(HurstDistribution.point(H), p, n, seed=seed)
                 cfg = PipelineConfig(n=n, p=p, a=a, j=1)
                 h, _ = log_eigen_set(panel, cfg)
-                per_seed.append(np.max(np.abs(h.values - H)))
+                per_seed.append(np.max(np.abs(h - H)))
             errs.append(np.mean(per_seed))
         assert errs[0] > errs[1] > errs[2]
