@@ -11,15 +11,12 @@ finite-sample studies are included.
 
 from .cluster import (
     ClusterScheme,
-    EpsilonGraph,
-    LaplacianSpectrum,
     eigengap_count,
     epsilon_graph,
     estimate_at_epsilon,
     icsd,
     kmeans,
     laplacian_spectrum,
-    spectral_embed,
 )
 from .errors import ConfigError, DataError, DegenerateSpectrumError, DomainError
 from .gmm import GmmFit, fit_gmm, select_gmm
@@ -42,13 +39,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterScheme", "ConfigError", "DataError", "DegenerateSpectrumError", "DomainError",
-    "EpsilonGraph", "EstimationResult", "ExperimentSpec", "FilterBank", "GmmFit",
-    "HurstDistribution", "LaplacianSpectrum", "MixingMatrix", "Panel",
-    "PipelineConfig", "RepRecord", "SelectionTrace", "SweepResult", "WaveletDecomposition",
-    "WaveletRandomMatrix", "daubechies", "decompose", "eigengap_count", "epsilon_graph",
-    "estimate_at_epsilon", "fbm_covariance", "fbm_path", "fit_gmm", "gen_panel",
+    "EstimationResult", "ExperimentSpec", "FilterBank", "GmmFit", "HurstDistribution",
+    "MixingMatrix", "Panel", "PipelineConfig", "RepRecord", "SelectionTrace", "SweepResult",
+    "WaveletDecomposition", "WaveletRandomMatrix", "daubechies", "decompose", "eigengap_count",
+    "epsilon_graph", "estimate_at_epsilon", "fbm_covariance", "fbm_path", "fit_gmm", "gen_panel",
     "heuristic_m", "icsd", "kmeans", "laplacian_spectrum", "log_eigen",
     "log_eigen_multiscale", "max_octave", "read_panel_csv", "run_pipeline", "run_rep",
-    "run_sweep", "sample_hurst", "select_gmm", "select_scheme", "spectral_embed",
-    "standardize", "wavelet_random_matrix",
+    "run_sweep", "sample_hurst", "select_gmm", "select_scheme", "standardize",
+    "wavelet_random_matrix",
 ]

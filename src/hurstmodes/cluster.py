@@ -19,32 +19,15 @@ from .synth import subseed
 
 __all__ = [
     "ClusterScheme",
-    "EpsilonGraph",
-    "LaplacianSpectrum",
     "eigengap_count",
     "epsilon_graph",
     "estimate_at_epsilon",
     "icsd",
     "kmeans",
     "laplacian_spectrum",
-    "spectral_embed",
 ]
 
 _MAX_ITERS = 100  # Lloyd iterations before kmeans stops without converging
-
-
-@dataclass(frozen=True)
-class EpsilonGraph:
-    """0/1 adjacency with zero diagonal: edge iff distance strictly below epsilon."""
-
-    adjacency: np.ndarray
-    epsilon: float
-
-
-@dataclass(frozen=True)
-class LaplacianSpectrum:
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # columns aligned with eigenvalues
 
 
 @dataclass(frozen=True)
@@ -60,52 +43,38 @@ class ClusterScheme:
     mode_estimates: np.ndarray
     prob_estimates: np.ndarray
     icsd: float
-    epsilon_used: float
 
     @property
     def min_cluster_size(self) -> int:
         return min(len(c) for c in self.clusters)
 
 
-def epsilon_graph(points: np.ndarray, eps: float) -> EpsilonGraph:
-    """Threshold graph: vertices i != j joined iff ||x_i - x_j|| < eps (strict)."""
+def epsilon_graph(values: np.ndarray, eps: float) -> np.ndarray:
+    """0/1 adjacency of the threshold graph on 1-D statistics: vertices
+    i != j joined iff |x_i - x_j| < eps (strict); zero diagonal."""
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    x = np.asarray(points, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"statistics must be 1-D, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):
-        raise DomainError("points must be finite")
-    if x.ndim == 1:
-        x = x[:, None]
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    adj = (dist < eps).astype(float)
+        raise DomainError("statistics must be finite")
+    adj = (np.abs(x[:, None] - x[None, :]) < eps).astype(float)
     np.fill_diagonal(adj, 0.0)
-    return EpsilonGraph(adj, float(eps))
+    return adj
 
 
-def laplacian_spectrum(graph: EpsilonGraph) -> LaplacianSpectrum:
-    """Full symmetric eigendecomposition of L = D - A, ascending."""
-    a = graph.adjacency
-    lap = np.diag(a.sum(axis=1)) - a
-    theta, u = np.linalg.eigh(lap)
-    return LaplacianSpectrum(theta, u)
+def laplacian_spectrum(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, eigenvector columns) of L = D - A."""
+    return np.linalg.eigh(np.diag(adjacency.sum(axis=1)) - adjacency)
 
 
-def eigengap_count(spectrum: LaplacianSpectrum) -> int:
-    """Index of the largest ascending gap; ties resolve to the smallest index."""
-    theta = spectrum.eigenvalues
+def eigengap_count(theta: np.ndarray) -> int:
+    """Index of the largest gap in ascending eigenvalues; ties resolve to the smallest index."""
     if len(theta) < 2:
         raise DomainError(f"need at least 2 eigenvalues, got {len(theta)}")
     gaps = theta[1:] - theta[:-1]
     return int(np.argmax(gaps)) + 1
-
-
-def spectral_embed(spectrum: LaplacianSpectrum, r_hat: int) -> np.ndarray:
-    """Rows of the p x r_hat matrix of leading eigenvectors."""
-    p = len(spectrum.eigenvalues)
-    if not 1 <= r_hat <= p:
-        raise DomainError(f"r_hat must be in 1..{p}, got {r_hat}")
-    return spectrum.eigenvectors[:, :r_hat].copy()
 
 
 def _farthest_point_init(x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,7 +91,7 @@ def _farthest_point_init(x: np.ndarray, kappa: int, rng: np.random.Generator) ->
 
 
 def kmeans(points: np.ndarray, kappa: int, seed: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Lloyd iteration on d-dimensional points, deterministic under seed.
+    """Lloyd iteration on the rows of a p x d array, deterministic under seed.
 
     Stops when the centers stop moving (or after _MAX_ITERS, a guard real
     arithmetic needs even though exact convergence is typical).  Empty
@@ -130,8 +99,8 @@ def kmeans(points: np.ndarray, kappa: int, seed: int = 0) -> tuple[tuple[int, ..
     Returns the partition as index tuples, ordered by smallest member.
     """
     x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    if x.ndim != 2:
+        raise DomainError(f"points must be a p x d array, got ndim={x.ndim}")
     p = len(x)
     n_distinct = len(np.unique(x, axis=0))
     if not 1 <= kappa <= n_distinct:
@@ -181,13 +150,12 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
     if p < 2:
         raise DomainError(f"need at least 2 points, got {p}")
 
-    spectrum = laplacian_spectrum(epsilon_graph(values, eps))
-    r_hat = eigengap_count(spectrum)
+    theta, u = laplacian_spectrum(epsilon_graph(values, eps))
+    r_hat = eigengap_count(theta)
     if r_hat == 1:
         clusters = (tuple(range(p)),)
     else:
-        rows = spectral_embed(spectrum, r_hat)
-        clusters = kmeans(rows, r_hat, seed=seed)
+        clusters = kmeans(u[:, :r_hat], r_hat, seed=seed)
 
     means = np.array([values[list(c)].mean() for c in clusters])
     order = np.argsort(means)
@@ -200,5 +168,4 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
         mode_estimates=means,
         prob_estimates=sizes / p,
         icsd=icsd(values, clusters),
-        epsilon_used=float(eps),
     )

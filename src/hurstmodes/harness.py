@@ -55,6 +55,10 @@ class PipelineConfig:
     n_vanishing: int = 2
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ConfigError(f"grid size m must be >= 1, got {self.m}")
+        if self.min_cluster < 1:
+            raise ConfigError(f"min_cluster must be >= 1, got {self.min_cluster}")
         if self.grid_max is not None and not (math.isfinite(self.grid_max) and self.grid_max > 0.0):
             raise ConfigError(f"grid_max must be finite and positive or None, got {self.grid_max}")
         if self.multiscale is None:

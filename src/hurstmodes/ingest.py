@@ -104,7 +104,7 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
         pass
     else:
         if np.isfinite(data).all():
-            return Panel(data, kind="observed", series=names)
+            return Panel(data, series=names)
     # the conversion failed: name the first bad cell in row-major order
     for i, row in enumerate(body, start=1):
         for j, name in enumerate(names):
@@ -124,4 +124,4 @@ def standardize(panel: Panel) -> Panel:
     if len(bad):
         names = [panel.series[i] if panel.series else f"row {i}" for i in bad]
         raise DataError(f"series with zero first-difference variance: {', '.join(map(str, names))}")
-    return Panel(panel.data / sd[:, None], kind=panel.kind, series=panel.series)
+    return Panel(panel.data / sd[:, None], series=panel.series)

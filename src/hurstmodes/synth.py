@@ -134,7 +134,6 @@ class Panel:
     """p x n panel of observations (rows = components, columns = time)."""
 
     data: np.ndarray
-    kind: str = "observed"  # "latent" or "observed"
     series: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class Panel:
             raise DataError(f"panel needs p >= 1 and n >= 2, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise DataError("panel contains non-finite entries")
-        if self.kind not in ("latent", "observed"):
-            raise ConfigError(f"panel kind must be 'latent' or 'observed', got {self.kind!r}")
         if self.series is not None and len(self.series) != p:
             raise DataError("series names do not match the number of rows")
 
@@ -248,31 +245,20 @@ def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(cov) @ z[:n]
 
 
-def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator | None = None,
-             method: str = "embedding") -> np.ndarray:
-    """One exact discrete-time fBm path (B_H(1), ..., B_H(n)).
-
-    method: "embedding" (circulant embedding) or "cholesky" (dense
-    factorization, the small-n test oracle).
-    """
+def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator | None = None) -> np.ndarray:
+    """One exact discrete-time fBm path (B_H(1), ..., B_H(n)) by circulant embedding."""
     if not (0.0 < H < 1.0):
         raise DomainError(f"Hurst exponent must lie in (0,1), got {H}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if rng is None:
         rng = subseed(0 if seed is None else seed, 2, 0)
-    if method not in ("embedding", "cholesky"):
-        raise ConfigError(f"unknown fbm method {method!r}")
 
     z = rng.standard_normal(2 * n)
-    if method == "cholesky":
-        fgn = _fgn_cholesky(H, n, z)
-    else:
-        weights = _embedding_sqrt_eigs(H, n)
-        if weights is None:
-            raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
-        fgn = _fgn_from_noise(z, weights, n)
-    return np.cumsum(fgn)
+    weights = _embedding_sqrt_eigs(H, n)
+    if weights is None:
+        raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
+    return np.cumsum(_fgn_from_noise(z, weights, n))
 
 
 def gen_panel(dist: HurstDistribution, p: int, n: int,
@@ -282,8 +268,8 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
 
     Returns the panel together with the true Hurst exponents of the latent
     rows (for scoring in simulation studies).  mix may be "orthogonal"
-    (Haar-random, drawn from seed), "identity"/None, a MixingMatrix, or a raw
-    square array (validated for invertibility).
+    (Haar-random, drawn from seed), None (no mixing), a MixingMatrix, or a
+    raw square array (validated for invertibility).
     """
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
@@ -292,18 +278,14 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
     for i in range(p):
         x[i] = fbm_path(h[i], n, rng=subseed(seed, 2, i))
 
-    if mix is None or (isinstance(mix, str) and mix == "identity"):
-        y = x
-        kind = "latent"
-    else:
-        if isinstance(mix, str):
-            if mix != "orthogonal":
-                raise ConfigError(f"unknown mixing policy {mix!r}")
-            mix = MixingMatrix.haar(p, seed)
-        elif not isinstance(mix, MixingMatrix):
-            mix = MixingMatrix(np.asarray(mix))
-        if mix.p != p:
-            raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
-        y = mix.matrix @ x
-        kind = "observed"
-    return Panel(y, kind=kind), h
+    if mix is None:
+        return Panel(x), h
+    if isinstance(mix, str):
+        if mix != "orthogonal":
+            raise ConfigError(f"unknown mixing policy {mix!r}")
+        mix = MixingMatrix.haar(p, seed)
+    elif not isinstance(mix, MixingMatrix):
+        mix = MixingMatrix(np.asarray(mix))
+    if mix.p != p:
+        raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
+    return Panel(mix.matrix @ x), h

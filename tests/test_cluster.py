@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hurstmodes import (
     DomainError,
@@ -15,7 +17,6 @@ from hurstmodes import (
     kmeans,
     laplacian_spectrum,
     select_scheme,
-    spectral_embed,
 )
 from hurstmodes.harness import log_eigen_set
 
@@ -40,104 +41,126 @@ def component_spectrum(sizes):
     return np.sort(eigs)
 
 
+def euclidean_graph(values, eps):
+    """Threshold graph through p x p x d Euclidean distances: the
+    construction for d-dimensional points, kept as the oracle."""
+    x = np.asarray(values, dtype=float)[:, None]
+    diff = x[:, None, :] - x[None, :, :]
+    adj = (np.sqrt(np.sum(diff * diff, axis=-1)) < eps).astype(float)
+    np.fill_diagonal(adj, 0.0)
+    return adj
+
+
+# |v| < 1e-100 snaps to 0, so every gap is 0 or at least ulp(1e-100) ~ 1e-116;
+# |v| <= 1e150 keeps each squared gap finite
+_stat = st.floats(-1e150, 1e150).map(lambda v: 0.0 if abs(v) < 1e-100 else v)
+# values drawn from a small pool, so ties (gap 0) are common
+_stats = st.lists(_stat, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+
+
 class TestEpsilonGraph:
     def test_distance_exactly_eps_not_connected(self):
         g = epsilon_graph(np.array([0.0, 1.0]), eps=1.0)
-        assert g.adjacency[0, 1] == 0.0
+        assert g[0, 1] == 0.0
 
     def test_identical_points_complete(self):
         g = epsilon_graph(np.zeros(5), eps=0.1)
-        assert np.array_equal(g.adjacency, np.ones((5, 5)) - np.eye(5))
+        assert np.array_equal(g, np.ones((5, 5)) - np.eye(5))
 
     def test_separated_points_empty(self):
         g = epsilon_graph(np.array([0.0, 10.0]), eps=1.0)
-        assert not g.adjacency.any()
+        assert not g.any()
 
     def test_eps_must_be_positive(self):
         with pytest.raises(DomainError):
             epsilon_graph(np.array([0.0, 1.0]), eps=0.0)
 
+    @pytest.mark.parametrize("values", [np.zeros((3, 2)), np.array([0.0, np.nan]), np.array([np.inf, 1.0])])
+    def test_rejects_non_1d_or_non_finite(self, values):
+        with pytest.raises(DomainError):
+            epsilon_graph(values, eps=1.0)
+
     def test_symmetric_zero_diagonal(self, rng):
         g = epsilon_graph(rng.standard_normal(20), eps=0.5)
-        assert np.array_equal(g.adjacency, g.adjacency.T)
-        assert not np.diag(g.adjacency).any()
+        assert np.array_equal(g, g.T)
+        assert not np.diag(g).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_stats, data=st.data())
+    def test_matches_euclidean_oracle_and_permutes(self, values, data):
+        x = np.array(values)
+        gaps = np.abs(x[:, None] - x[None, :])
+        assume(np.all((gaps == 0.0) | (gaps >= 1e-150)))
+        positive = sorted(set(gaps[gaps > 0.0].tolist()))
+        # a gap itself as eps checks the strict inequality at the boundary
+        eps = data.draw(st.sampled_from(positive) if positive and data.draw(st.booleans())
+                        else st.floats(1e-150, 1e151))
+        g = epsilon_graph(x, eps)
+        assert np.array_equal(g, euclidean_graph(x, eps))
+        assert np.array_equal(g, g.T)
+        assert not np.diag(g).any()
+        assert set(np.unique(g)) <= {0.0, 1.0}
+        perm = np.array(data.draw(st.permutations(range(len(x)))))
+        assert np.array_equal(epsilon_graph(x[perm], eps), g[perm][:, perm])
 
 
 class TestLaplacianSpectrum:
     def test_empty_graph_all_zero(self):
-        g = epsilon_graph(np.arange(6) * 100.0, eps=1.0)
-        s = laplacian_spectrum(g)
-        assert np.allclose(s.eigenvalues, 0.0, atol=1e-12)
+        theta, _ = laplacian_spectrum(epsilon_graph(np.arange(6) * 100.0, eps=1.0))
+        assert np.allclose(theta, 0.0, atol=1e-12)
 
     def test_complete_graph_spectrum(self):
-        g = epsilon_graph(np.zeros(5), eps=1.0)
-        s = laplacian_spectrum(g)
-        assert np.allclose(s.eigenvalues, [0, 5, 5, 5, 5], atol=1e-8)
+        theta, _ = laplacian_spectrum(epsilon_graph(np.zeros(5), eps=1.0))
+        assert np.allclose(theta, [0, 5, 5, 5, 5], atol=1e-8)
 
     def test_three_plus_four_components(self):
-        from hurstmodes.cluster import EpsilonGraph
-
-        g = EpsilonGraph(disjoint_complete_adjacency([3, 4]), 1.0)
-        s = laplacian_spectrum(g)
-        assert np.allclose(s.eigenvalues, [0, 0, 3, 3, 4, 4, 4], atol=1e-8)
+        theta, _ = laplacian_spectrum(disjoint_complete_adjacency([3, 4]))
+        assert np.allclose(theta, [0, 0, 3, 3, 4, 4, 4], atol=1e-8)
 
     def test_row_sums_zero_constant_eigenvector(self, rng):
         g = epsilon_graph(rng.standard_normal(12), eps=0.7)
-        lap = np.diag(g.adjacency.sum(axis=1)) - g.adjacency
+        lap = np.diag(g.sum(axis=1)) - g
         assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-        s = laplacian_spectrum(g)
-        assert s.eigenvalues[0] >= -1e-10
+        theta, _ = laplacian_spectrum(g)
+        assert theta[0] >= -1e-10
 
     def test_random_disjoint_unions_closed_form(self, rng):
         # executable spectral oracle for unions of complete graphs
-        from hurstmodes.cluster import EpsilonGraph
-
         for _ in range(25):
             r = rng.integers(1, 6)
             sizes = rng.integers(1, 21, size=r).tolist()
-            g = EpsilonGraph(disjoint_complete_adjacency(sizes), 1.0)
-            s = laplacian_spectrum(g)
-            assert np.allclose(s.eigenvalues, component_spectrum(sizes), atol=1e-8)
+            theta, _ = laplacian_spectrum(disjoint_complete_adjacency(sizes))
+            assert np.allclose(theta, component_spectrum(sizes), atol=1e-8)
 
 
 class TestEigengap:
     def test_frozen_example(self):
-        from hurstmodes.cluster import LaplacianSpectrum
-
-        s = LaplacianSpectrum(np.array([0.0, 0, 3, 3, 4, 4, 4]), np.eye(7))
-        assert eigengap_count(s) == 2  # gaps (0,3,0,1,0,0), argmax at 2
+        theta = np.array([0.0, 0, 3, 3, 4, 4, 4])
+        assert eigengap_count(theta) == 2  # gaps (0,3,0,1,0,0), argmax at 2
 
     def test_complete_graph_single_mode(self):
-        s = laplacian_spectrum(epsilon_graph(np.zeros(6), eps=1.0))
-        assert eigengap_count(s) == 1
+        theta, _ = laplacian_spectrum(epsilon_graph(np.zeros(6), eps=1.0))
+        assert eigengap_count(theta) == 1
 
     def test_two_zero_then_equal_nonzero(self):
-        from hurstmodes.cluster import LaplacianSpectrum
-
-        s = LaplacianSpectrum(np.array([0.0, 0.0, 5.0, 5.0, 5.0]), np.eye(5))
-        assert eigengap_count(s) == 2
+        assert eigengap_count(np.array([0.0, 0.0, 5.0, 5.0, 5.0])) == 2
 
     def test_tie_breaks_to_smallest_index(self):
-        from hurstmodes.cluster import LaplacianSpectrum
-
-        s = LaplacianSpectrum(np.array([0.0, 1.0, 2.0, 3.0]), np.eye(4))
-        assert eigengap_count(s) == 1
+        assert eigengap_count(np.array([0.0, 1.0, 2.0, 3.0])) == 1
 
     def test_needs_two_eigenvalues(self):
-        from hurstmodes.cluster import LaplacianSpectrum
-
         with pytest.raises(DomainError):
-            eigengap_count(LaplacianSpectrum(np.array([0.0]), np.eye(1)))
+            eigengap_count(np.array([0.0]))
 
 
 class TestSpectralEmbed:
+    # the embedding estimate_at_epsilon hands to kmeans: the rows of the
+    # leading r eigenvector columns
     def test_component_rows_constant_and_distinct(self):
-        from hurstmodes.cluster import EpsilonGraph
-
         sizes = [3, 4, 5]
-        g = EpsilonGraph(disjoint_complete_adjacency(sizes), 1.0)
-        s = laplacian_spectrum(g)
-        rows = spectral_embed(s, 3)
+        _, u = laplacian_spectrum(disjoint_complete_adjacency(sizes))
+        rows = u[:, :3]
         reps = []
         start = 0
         for size in sizes:
@@ -149,24 +172,22 @@ class TestSpectralEmbed:
             assert np.linalg.norm(a - b) > 1e-6
 
     def test_single_eigenvector_constant_rows(self):
-        s = laplacian_spectrum(epsilon_graph(np.zeros(5), eps=1.0))
-        rows = spectral_embed(s, 1)
+        _, u = laplacian_spectrum(epsilon_graph(np.zeros(5), eps=1.0))
+        rows = u[:, :1]
         assert np.max(np.abs(rows - rows[0])) < 1e-8
 
     def test_permutation_equivariance(self, rng):
         x = rng.standard_normal(10)
         perm = rng.permutation(10)
-        s1 = laplacian_spectrum(epsilon_graph(x, eps=0.8))
-        s2 = laplacian_spectrum(epsilon_graph(x[perm], eps=0.8))
+        _, u1 = laplacian_spectrum(epsilon_graph(x, eps=0.8))
+        _, u2 = laplacian_spectrum(epsilon_graph(x[perm], eps=0.8))
         # same multiset of embedded points (eigenvector bases may differ by
         # rotation inside eigenspaces, so compare pairwise distance multisets)
         r = 3
-        d1 = np.sort(np.linalg.norm(
-            spectral_embed(s1, r)[perm][:, None] - spectral_embed(s1, r)[perm][None, :], axis=-1
-        ).ravel())
-        d2 = np.sort(np.linalg.norm(
-            spectral_embed(s2, r)[:, None] - spectral_embed(s2, r)[None, :], axis=-1
-        ).ravel())
+        e1 = u1[:, :r][perm]
+        e2 = u2[:, :r]
+        d1 = np.sort(np.linalg.norm(e1[:, None] - e1[None, :], axis=-1).ravel())
+        d2 = np.sort(np.linalg.norm(e2[:, None] - e2[None, :], axis=-1).ravel())
         assert np.allclose(d1, d2, atol=1e-8)
 
 
@@ -194,7 +215,7 @@ class TestKmeans:
         assert sorted(members) == list(range(7))
 
     def test_two_pairs_exhaustive_sse_oracle(self):
-        pts = np.array([0.0, 0.01, 1.0, 1.01])
+        pts = np.array([[0.0], [0.01], [1.0], [1.01]])
 
         def sse(groups):
             return sum(np.sum((pts[list(g)] - pts[list(g)].mean()) ** 2) for g in groups)
@@ -210,7 +231,11 @@ class TestKmeans:
 
     def test_kappa_exceeding_distinct_count(self):
         with pytest.raises(DomainError):
-            kmeans(np.array([1.0, 1.0, 2.0]), 3, seed=0)
+            kmeans(np.array([[1.0], [1.0], [2.0]]), 3, seed=0)
+
+    def test_points_must_be_rows(self):
+        with pytest.raises(DomainError):
+            kmeans(np.array([1.0, 2.0, 3.0]), 2, seed=0)
 
     def test_deterministic_under_seed(self, rng):
         pts = rng.standard_normal((30, 2))

@@ -170,3 +170,8 @@ class TestExperimentSpec:
     def test_grid_max_finite_positive(self, grid_max):
         with pytest.raises(ConfigError):
             PipelineConfig(grid_max=grid_max)
+
+    @pytest.mark.parametrize("field", ["m", "min_cluster"])
+    def test_grid_counts_at_least_one(self, field):
+        with pytest.raises(ConfigError, match=field):
+            PipelineConfig(**{field: 0})

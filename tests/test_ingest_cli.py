@@ -296,6 +296,12 @@ class TestCliEstimate:
         assert main(["estimate", "--input", str(fbm_csv), "--M", "-1"]) == 2
         assert main(["estimate", "--input", str(fbm_csv), "--M", "bogus"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--m", "--min-cluster"])
+    def test_grid_counts_below_one_exit_2_before_reading(self, tmp_path, capsys, flag):
+        # a config error, not the missing-file data error
+        assert main(["estimate", "--input", str(tmp_path / "nope.csv"), flag, "0"]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
 
 class TestCliSpectrum:
     def test_histogram_counts_sum_to_p(self, fbm_csv, tmp_path):
@@ -369,8 +375,9 @@ class TestCliSweep:
         spec.write_text("family = bimodal\nwat = 1\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
 
+    # the gmm baseline reads neither m nor min_cluster; they are still config errors
     @pytest.mark.parametrize("line", ["M = 0", "workers = 2", "n = x", "M = bogus", "deltas = 0,a",
-                                      "reps = 1.5"])
+                                      "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)
