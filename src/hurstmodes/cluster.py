@@ -143,29 +143,33 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
     Threshold graph, Laplacian eigengap for the number of modes, spectral
     embedding, and k-means; clusters are mapped back to the input indices,
     and mode/probability estimates plus the ICSD are computed from them.
-    A count of one short-circuits to the single whole-set cluster.
+    A count of one short-circuits to the single whole-set cluster.  The
+    chain runs on the stably sorted statistics, so the input order only
+    permutes the clusters.
     """
     values = np.asarray(h_set, dtype=float)
     p = len(values)
     if p < 2:
         raise DomainError(f"need at least 2 points, got {p}")
+    perm = np.argsort(values, kind="stable")
+    x = values[perm]
 
-    theta, u = laplacian_spectrum(epsilon_graph(values, eps))
+    theta, u = laplacian_spectrum(epsilon_graph(x, eps))
     r_hat = eigengap_count(theta)
     if r_hat == 1:
         clusters = (tuple(range(p)),)
     else:
         clusters = kmeans(u[:, :r_hat], r_hat, seed=seed)
 
-    means = np.array([values[list(c)].mean() for c in clusters])
+    means = np.array([x[list(c)].mean() for c in clusters])
     order = np.argsort(means)
     clusters = tuple(tuple(sorted(clusters[i])) for i in order)
     means = means[order]
     sizes = np.array([len(c) for c in clusters], dtype=float)
     return ClusterScheme(
-        clusters=clusters,
+        clusters=tuple(tuple(sorted(perm[list(c)].tolist())) for c in clusters),
         r_hat=len(clusters),
         mode_estimates=means,
         prob_estimates=sizes / p,
-        icsd=icsd(values, clusters),
+        icsd=icsd(x, clusters),
     )

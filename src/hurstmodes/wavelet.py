@@ -6,7 +6,9 @@ contamination at the series edges).  Those are the coefficients with shift
 index k in [ceil(T/2^j), floor((n+1)/2^j - T)] for a length-T filter, and
 their count n_j ~ n/2^j is the effective sample size at octave j.  Only
 the octaves a statistic reads are kept, each as a C-contiguous p x n_j
-array; the pyramid computes no high-pass below them and none deeper.
+array; the pyramid computes no high-pass below them and none deeper.  The
+cascade runs one series at a time through every octave, so the only p-row
+arrays it allocates are the kept detail matrices.
 """
 
 from __future__ import annotations
@@ -166,9 +168,11 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
     from the downsampled low/high-pass recursion (Percival & Walden 2000,
     section 4.6).  The low-pass runs down to octave j_max - 1 and the
     high-pass only at the kept octaves; each kept detail matrix is the
-    border-free window, stored as a C-contiguous p x n_j array, and every
-    full-length convolution is a per-row temporary.  Raises ConfigError
-    naming the first octave for which the series is too short.
+    border-free window, stored as a C-contiguous p x n_j array.  Each row
+    runs the whole cascade before the next starts, so its approximations
+    are 1-D temporaries and memory peaks at the kept details plus one row's
+    temporaries.  Raises ConfigError naming the first octave for which the
+    series is too short.
     """
     data = panel.data if isinstance(panel, Panel) else np.atleast_2d(np.asarray(panel, dtype=float))
     p, n = data.shape
@@ -189,31 +193,33 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
     details: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
 
-    approx = data
-    k0 = 1  # shift index of the first stored approximation column
+    # per octave: (octave, low-pass start, width, first detail index if kept)
+    steps = []
+    k0, length = 1, n  # shift index of the first stored approximation sample, and their number
     for j in range(1, j_max + 1):
-        length = approx.shape[1]
         k0_new = -((-(k0 - t + 1)) // 2)  # ceil((k0 - T + 1) / 2)
         k1_new = (k0 + length - 1) // 2
         width = k1_new - k0_new + 1
         start = 2 * k0_new + t - 1 - k0  # full-convolution index of shift k0_new
-
+        first = 0
         if j >= j_min:
             j2 = 2**j
             k_lo = -((-t) // j2)
             k_hi = (n + 1 - t * j2) // j2
             if not (k0_new <= k_lo and k_hi <= k1_new):
                 raise AssertionError("border-free window escaped the computed support")
-            count = counts[j] = k_hi - k_lo + 1
+            counts[j] = k_hi - k_lo + 1
             first = start + 2 * (k_lo - k0_new)
-            detail = details[j] = np.empty((p, count))
-            for i in range(p):
-                detail[i] = np.convolve(approx[i], v_rev)[first : first + 2 * count : 2]
-        if j < j_max:
-            coarser = np.empty((p, width))
-            for i in range(p):
-                coarser[i] = np.convolve(approx[i], u_rev)[start : start + 2 * width : 2]
-            approx = coarser
-        k0 = k0_new
+            details[j] = np.empty((p, counts[j]))
+        steps.append((j, start, width, first))
+        k0, length = k0_new, width
+
+    for i in range(p):
+        approx = data[i]
+        for j, start, width, first in steps:
+            if j >= j_min:
+                details[j][i] = np.convolve(approx, v_rev)[first : first + 2 * counts[j] : 2]
+            if j < j_max:
+                approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
 
     return WaveletDecomposition(details, counts, (j_min, j_max), n)

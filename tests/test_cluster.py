@@ -241,6 +241,25 @@ class TestKmeans:
         pts = rng.standard_normal((30, 2))
         assert kmeans(pts, 4, seed=9) == kmeans(pts, 4, seed=9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(2, 40),
+        d=st.integers(1, 3),
+        kappa=st.integers(1, 6),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_input_order_only_permutes_partition(self, p, d, kappa, repeats, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((p, d))
+        if repeats:  # level sets: every point shared by about three rows
+            pts = pts[rng.integers(max(p // 3, 1), size=p)]
+        assume(kappa <= len(np.unique(pts, axis=0)))
+        perm = rng.permutation(p)
+        base = {frozenset(c) for c in kmeans(pts, kappa, seed=seed)}
+        moved = {frozenset(perm[list(c)].tolist()) for c in kmeans(pts[perm], kappa, seed=seed)}
+        assert moved == base
+
 
 class TestIcsd:
     def test_singletons_contribute_zero(self):

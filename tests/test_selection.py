@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstmodes import ConfigError, DomainError, estimate_at_epsilon, select_scheme
 
@@ -98,6 +100,32 @@ class TestSelectScheme:
         est = select_scheme(np.full(8, 0.3), m=5, seed=0)
         assert est.r_hat == 1
         assert est.icsd == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(6, 59),
+        split=st.floats(0.05, 0.95),
+        centers=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        spreads=st.tuples(st.floats(1e-3, 0.1), st.floats(1e-3, 0.1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_input_order_only_permutes_clusters(self, p, split, centers, spreads, seed):
+        # two-mode statistics in random order: permuting them permutes the
+        # clusters of every scheme and leaves every estimate equal
+        rng = np.random.default_rng(seed)
+        k = min(max(round(split * p), 1), p - 1)
+        values = np.r_[rng.normal(centers[0], spreads[0], k), rng.normal(centers[1], spreads[1], p - k)]
+        perm = rng.permutation(p)
+        a = select_scheme(values, m=10, seed=seed)
+        b = select_scheme(values[perm], m=10, seed=seed)
+        assert b.r_hat == a.r_hat
+        assert np.array_equal(b.modes, a.modes)
+        assert np.array_equal(b.probs, a.probs)
+        assert b.epsilon_ms == a.epsilon_ms
+        assert b.icsd == a.icsd
+        assert np.array_equal(b.trace.icsd_curve, a.trace.icsd_curve)
+        for sa, sb in zip(a.trace.schemes, b.trace.schemes):
+            assert [tuple(sorted(perm[list(c)].tolist())) for c in sb.clusters] == list(sa.clusters)
 
 
 def _scheme_seed(seed, k, m):

@@ -114,13 +114,30 @@ class TestDecompose:
             assert fast.counts[j] == len(slow[j])
             assert np.allclose(fast.details[j][0], slow[j], atol=1e-12)
 
-    def test_rows_equal_stacked_univariate(self, rng):
-        bank = daubechies(2)
-        y = rng.standard_normal((5, 300))
-        multi = decompose(y, bank, 3)
-        for i in range(5):
-            single = decompose(y[i][None, :], bank, 3)
-            for j in range(1, 4):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        j_min=st.integers(1, 5),
+        depth=st.integers(0, 2),
+        p=st.integers(1, 5),
+        extra=st.integers(0, 300),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_stacked_univariate(self, order, j_min, depth, p, extra, fortran, seed):
+        # a row's details depend on that row alone, bit for bit, whatever
+        # the panel's height and memory layout
+        bank = daubechies(order)
+        t, j_max = bank.support_length, j_min + depth
+        scale = 2**j_max
+        n = scale * (-(-t // scale) + t) - 1 + extra  # octave j_max has a border-free coefficient
+        y = np.random.default_rng(seed).standard_normal((p, n))
+        if fortran:
+            y = np.asfortranarray(y)
+        multi = decompose(y, bank, j_max, j_min)
+        for i in range(p):
+            single = decompose(y[i][None, :], bank, j_max, j_min)
+            for j in range(j_min, j_max + 1):
                 assert np.array_equal(multi.details[j][i], single.details[j][0])
 
     def test_linearity(self, rng):
@@ -185,6 +202,22 @@ class TestDecompose:
             tracemalloc.stop()
         assert list(decomp.details) == [2, 3, 4, 5]
         assert peak < 1.5 * y.nbytes
+
+    def test_row_cascade_allocates_only_kept_details(self, rng):
+        # each row runs the whole cascade before the next, so no p-row
+        # approximation exists: the kept details (~0.47 x the panel for
+        # octaves 2..5) plus one row's temporaries set the peak
+        y = rng.standard_normal((32, 2**15))
+        bank = daubechies(2)
+        tracemalloc.start()
+        try:
+            decomp = decompose(y, bank, 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(d.nbytes for d in decomp.details.values())
+        assert kept < 0.47 * y.nbytes
+        assert peak < 0.6 * y.nbytes
 
     @settings(max_examples=40, deadline=None)
     @given(
