@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -21,32 +22,56 @@ from .synth import Panel
 __all__ = ["read_panel_csv", "standardize"]
 
 _NA_STRINGS = {"", "na", "nan", "n/a", "null", "none", "."}
+_BLOCK = 1024  # data rows converted per numpy call
 
 
-def _check_cell(text: str, row: int, col: int, name: str) -> None:
-    """Raise the DataError naming this cell if it is not a finite number."""
+def _cell_error(text: str, row: int, col: int, name: str) -> DataError | None:
+    """The DataError naming this cell if it is not a finite number, else None."""
     cell = text.strip()
     if cell.lower() in _NA_STRINGS:
-        raise DataError(f"missing value at data row {row}, column {name!r} (col {col}); no imputation is performed")
+        return DataError(f"missing value at data row {row}, column {name!r} (col {col}); no imputation is performed")
     try:
         value = float(cell)
     except ValueError:
-        raise DataError(f"cell at data row {row}, column {name!r} (col {col}) is not numeric: {cell!r}") from None
+        return DataError(f"cell at data row {row}, column {name!r} (col {col}) is not numeric: {cell!r}")
     if not math.isfinite(value):
-        raise DataError(f"cell at data row {row}, column {name!r} (col {col}) is not finite: {cell!r}")
+        return DataError(f"cell at data row {row}, column {name!r} (col {col}) is not finite: {cell!r}")
+    return None
 
 
-def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
-    """Read a series-per-column CSV into a p x n panel (rows = series).
+def _first_bad_cell(path, rows, first_row: int, cols, names) -> tuple[float, DataError]:
+    """(data row, DataError) of the first cell of rows, in row-major order
+    over the column indices cols, that is not a finite number; a generic
+    error at row inf if no cell is named."""
+    for i, row in enumerate(rows, start=first_row):
+        for j in cols:
+            error = _cell_error(row[j], i, j, names[j])
+            if error is not None:
+                return i, error
+    return math.inf, DataError(f"{path}: a panel cell is not a finite number")
 
-    time_column: True drops the first column, False keeps it as data, and
-    "auto" drops it when its header is empty or any body cell fails numeric
-    parsing.  The file must be UTF-8 text (a non-UTF-8 byte raises DataError
-    naming its line); a leading byte-order mark is ignored.
+
+def _cast(out: np.ndarray, cells) -> bool:
+    """Write cells into out, numpy calling Python's float() on each str;
+    False when a cell is not a finite number."""
+    try:
+        out[...] = cells
+    except ValueError:
+        return False
+    return bool(np.isfinite(out).all())
+
+
+def _nonempty_rows(path):
+    """Yield the CSV rows of path that hold a non-blank cell.
+
+    A non-UTF-8 byte raises DataError naming its line; a leading byte-order
+    mark is ignored.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+            for row in csv.reader(fh):
+                if row and any(cell.strip() for cell in row):
+                    yield row
     except UnicodeDecodeError:
         # text is decoded in chunks, so find the line by decoding line by
         # line; a UTF-8 sequence never holds a newline byte
@@ -60,13 +85,65 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
                         f"(byte 0x{line[exc.start]:02x} at byte {exc.start + 1} of the line)"
                     ) from None
         raise
-    if len(rows) < 3:
-        raise DataError(f"{path}: need a header row and at least 2 data rows, found {len(rows)} non-empty rows")
-    header, body = rows[0], rows[1:]
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
+    """Read a series-per-column CSV into a p x n panel (rows = series).
+
+    time_column: True drops the first column, False keeps it as data, and
+    "auto" drops it when its header is empty or any body cell fails numeric
+    parsing.  The file must be UTF-8 text (a non-UTF-8 byte raises DataError
+    naming its line); a leading byte-order mark is ignored.
+
+    Rows are converted in blocks of _BLOCK as they are read, so at most two
+    blocks of cells are held as text; column 0 alone stays text to the end,
+    because the "auto" rule needs all of it.  No error is raised before the
+    end of the file, so errors win in this order: a non-UTF-8 byte, too few
+    rows, the first non-rectangular row, the first cell that is not a finite
+    number in row-major order.
+    """
+    rows = _nonempty_rows(path)
+    header = next(rows, [])
     width = len(header)
-    for i, row in enumerate(body, start=1):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, header has {width} (panel must be rectangular)")
+    names = [h.strip() or f"col{j}" for j, h in enumerate(header)]
+    count = 1 if header else 0  # non-empty rows, header included
+    short = None  # (data row, cells) of the first row not as wide as the header
+    lead = []  # column 0 as text
+    blocks = []  # columns 1.. as float blocks, series in rows
+    bad = None  # (data row, DataError) of the first bad cell in columns 1..
+    while chunk := list(islice(rows, _BLOCK)):
+        first_row = count
+        count += len(chunk)
+        if short is not None:
+            continue
+        short = next(((i, len(row)) for i, row in enumerate(chunk, start=first_row) if len(row) != width), None)
+        if short is not None:
+            continue
+        lead.extend(row[0] for row in chunk)
+        if bad is not None:
+            continue
+        # numpy casts each str cell with Python's float(), straight into the
+        # transposed view of a series-in-rows block, so the blocks join
+        # into the C-ordered result; a block per call also bounds numpy's
+        # per-row coercion cache
+        block = np.empty((width - 1, len(chunk)))
+        if _cast(block.T, [row[1:] for row in chunk]):
+            blocks.append(block)
+        else:
+            bad = _first_bad_cell(path, chunk, first_row, range(1, width), names)
+
+    if count < 3:
+        raise DataError(f"{path}: need a header row and at least 2 data rows, found {count} non-empty rows")
+    if short is not None:
+        raise DataError(f"{path}: row {short[0]} has {short[1]} cells, header has {width} (panel must be rectangular)")
 
     drop_first = False
     if time_column is True:
@@ -77,39 +154,21 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
         else:
             # a time index is non-numeric but never missing; empty cells stay
             # data cells so they are reported instead of silently dropped
-            first = [row[0].strip() for row in body]
-            if all(first):
-                def _is_number(cell):
-                    try:
-                        float(cell)
-                        return True
-                    except ValueError:
-                        return False
-
-                drop_first = not all(_is_number(cell) for cell in first)
+            first = [cell.strip() for cell in lead]
+            drop_first = all(first) and not all(_is_number(cell) for cell in first)
     start = 1 if drop_first else 0
-    names = tuple(h.strip() or f"col{j}" for j, h in enumerate(header[start:], start=start))
-    if not names:
+    if width == start:
         raise DataError(f"{path}: no data columns after removing the time index")
 
-    # numpy casts each str cell with Python's float(), straight into the
-    # transposed view of the C-ordered result, so no second p x n copy is
-    # made; 1024 rows per call bound numpy's per-row coercion cache
-    data = np.empty((len(names), len(body)))
-    try:
-        for k in range(0, len(body), 1024):
-            chunk = body[k:k + 1024]
-            data[:, k:k + 1024].T[...] = [row[start:] for row in chunk] if start else chunk
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(data).all():
-            return Panel(data, series=names)
-    # the conversion failed: name the first bad cell in row-major order
-    for i, row in enumerate(body, start=1):
-        for j, name in enumerate(names):
-            _check_cell(row[start + j], i, start + j, name)
-    raise DataError(f"{path}: a panel cell is not a finite number")
+    data = np.empty((width - start, count - 1))
+    if not drop_first and not _cast(data[0], lead):
+        row, error = _first_bad_cell(path, ((cell,) for cell in lead), 1, (0,), names)
+        if bad is None or row <= bad[0]:
+            raise error
+    if bad is not None:
+        raise bad[1]
+    np.concatenate(blocks, axis=1, out=data[1 - start:])
+    return Panel(data, series=tuple(names[start:]))
 
 
 def standardize(panel: Panel) -> Panel:

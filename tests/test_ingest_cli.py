@@ -1,6 +1,7 @@
 import csv
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,102 @@ class TestReadPanelCsv:
         assert main(["estimate", "--input", str(path)]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "data", "message": expected}
+
+    def test_read_bounds_memory(self, tmp_path, rng):
+        # rows become floats block by block and only column 0 stays text, so
+        # the float blocks and the result set the peak, not 1M str cells
+        data = rng.standard_normal((64, 2**14))
+        path = tmp_path / "wide.csv"
+        with open(path, "w") as fh:
+            fh.write(",".join(f"s{i}" for i in range(64)) + "\n")
+            np.savetxt(fh, data.T, delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            panel = read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.data.tobytes() == data.tobytes()
+        assert peak <= 3 * panel.data.nbytes
+
+
+def _long_rows(n, lead=None):
+    """n data rows of two numeric cells, after a column-0 cell lead(t) if given."""
+    return [([] if lead is None else [lead(t)]) + [f"{t}.0", f"{t}.5"] for t in range(1, n + 1)]
+
+
+def _write_rows(path, header, rows):
+    path.write_bytes(b"\n".join(row if isinstance(row, bytes) else ",".join(row).encode() for row in [header] + rows))
+
+
+class TestBlockBoundaries:
+    # 2,500 data rows are three blocks of 1,024 converted as they are read;
+    # errors seen in different blocks win as they do over the whole file
+
+    def test_decode_error_wins_over_earlier_bad_cell(self, tmp_path):
+        rows = _long_rows(2500)
+        rows[2][1] = "oops"
+        rows[1998] = b"caf\xe9,1.0"  # line 2,000: the header is line 1
+        path = tmp_path / "late-latin1.csv"
+        _write_rows(path, ["x", "y"], rows)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == f"{path}: line 2000 is not UTF-8 text (byte 0xe9 at byte 4 of the line)"
+
+    def test_short_row_wins_over_earlier_bad_cell(self, tmp_path):
+        rows = _long_rows(2500)
+        rows[4][1] = "oops"
+        rows[2199] = ["1.0"]
+        path = tmp_path / "late-short.csv"
+        _write_rows(path, ["x", "y"], rows)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == f"{path}: row 2200 has 1 cells, header has 2 (panel must be rectangular)"
+
+    def test_time_column_found_in_last_block(self, tmp_path):
+        rows = _long_rows(2500, lead=lambda t: str(2000 + t))
+        rows[2399][0] = "end"
+        path = tmp_path / "late-index.csv"
+        _write_rows(path, ["date", "x", "y"], rows)
+        panel = read_panel_csv(path)
+        t = np.arange(1, 2501)
+        assert panel.series == ("x", "y")
+        assert np.array_equal(panel.data, [t + 0.0, t + 0.5])
+
+    def test_empty_index_cell_in_last_block_named(self, tmp_path):
+        # an empty cell keeps column 0 as data, and it comes before "end"
+        rows = _long_rows(2500, lead=lambda t: str(2000 + t))
+        rows[2099][0] = ""
+        rows[2399][0] = "end"
+        path = tmp_path / "late-gap.csv"
+        _write_rows(path, ["date", "x", "y"], rows)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == (
+            "missing value at data row 2100, column 'date' (col 0); no imputation is performed")
+
+    @pytest.mark.parametrize("lead_row, y_row, first", [
+        (1500, 2200, "cell at data row 1500, column 'date' (col 0) is not numeric: 'x0'"),
+        (2200, 1500, "cell at data row 1500, column 'y' (col 2) is not numeric: 'oops'"),
+        (1500, 1500, "cell at data row 1500, column 'date' (col 0) is not numeric: 'x0'"),
+    ])
+    def test_kept_column_0_in_row_major_order(self, tmp_path, lead_row, y_row, first):
+        rows = _long_rows(2500, lead=str)
+        rows[lead_row - 1][0] = "x0"
+        rows[y_row - 1][2] = "oops"
+        path = tmp_path / "kept.csv"
+        _write_rows(path, ["date", "x", "y"], rows)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path, time_column=False)
+        assert str(exc.value) == first
+
+    @pytest.mark.parametrize("text, found", [("", 0), ("\n,\n", 0), ("x,y\n", 1), ("x,y\n1.0,2.0\n", 2)])
+    def test_too_few_rows_counted(self, tmp_path, text, found):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == f"{path}: need a header row and at least 2 data rows, found {found} non-empty rows"
 
 
 # cells that Python's float() reads, with the layout noise a spreadsheet

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurstmodes import ConfigError, DomainError, estimate_at_epsilon, select_scheme
@@ -126,6 +126,40 @@ class TestSelectScheme:
         assert np.array_equal(b.trace.icsd_curve, a.trace.icsd_curve)
         for sa, sb in zip(a.trace.schemes, b.trace.schemes):
             assert [tuple(sorted(perm[list(c)].tolist())) for c in sb.clusters] == list(sa.clusters)
+
+    @pytest.mark.filterwarnings("ignore:every grid point:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        centers=st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=3),
+        offsets=st.lists(st.tuples(st.integers(0, 2), st.integers(-2**15, 2**15)), min_size=2, max_size=40),
+        shift=st.integers(-2**22, 2**22),
+        m=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_translation_moves_only_the_modes(self, centers, offsets, shift, m, seed):
+        # on a 2^-20 grid every |x_i - x_j| and the spread are exact, before
+        # and after the shift, so every graph, partition and grid value is
+        # the same; only the cluster means move, by the shift
+        unit = 2.0**-20
+        values = np.array([centers[i % len(centers)] + o for i, o in offsets]) * unit
+        c = shift * unit
+        a = select_scheme(values, m=m, seed=seed)
+        b = select_scheme(values + c, m=m, seed=seed)
+        assert np.array_equal(b.trace.grid, a.trace.grid)
+        assert b.epsilon_ms == a.epsilon_ms
+        assert np.array_equal(b.trace.excluded, a.trace.excluded)
+        for sa, sb in zip(a.trace.schemes, b.trace.schemes):
+            assert sb.r_hat == sa.r_hat
+            assert sb.clusters == sa.clusters
+            np.testing.assert_allclose(sb.mode_estimates, sa.mode_estimates + c, rtol=0, atol=1e-12)
+        # the ICSD moves by rounding: skip draws where it could reorder two
+        # different partitions
+        for est in (a, b):
+            kept = [(s.icsd, s.clusters) for s, x in zip(est.trace.schemes, est.trace.excluded) if not x]
+            assume(all(abs(u - v) > 1e-12 for u, cu in kept for v, cv in kept if cu != cv))
+        assert b.trace.chosen_index == a.trace.chosen_index
+        assert b.r_hat == a.r_hat
+        np.testing.assert_allclose(b.modes, a.modes + c, rtol=0, atol=1e-12)
 
 
 def _scheme_seed(seed, k, m):

@@ -151,6 +151,35 @@ class TestDecompose:
         for j in range(1, 4):
             assert np.allclose(combo.details[j], a * d1.details[j] + b * d2.details[j], atol=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        j_min=st.integers(1, 5),
+        depth=st.integers(0, 2),
+        p=st.integers(1, 4),
+        extra=st.integers(0, 300),
+        a=st.floats(-1e3, 1e3),
+        b=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linearity_property(self, order, j_min, depth, p, extra, a, b, seed):
+        # the cascade is a chain of convolutions: a combination of panels
+        # decomposes into the same combination of their details, up to
+        # rounding relative to the terms' size
+        bank = daubechies(order)
+        t, j_max = bank.support_length, j_min + depth
+        scale = 2**j_max
+        n = scale * (-(-t // scale) + t) - 1 + extra  # octave j_max has a border-free coefficient
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, p, n))
+        combo = decompose(a * x + b * y, bank, j_max, j_min)
+        dx = decompose(x, bank, j_max, j_min)
+        dy = decompose(y, bank, j_max, j_min)
+        for j in range(j_min, j_max + 1):
+            size = abs(a) * np.abs(dx.details[j]).max() + abs(b) * np.abs(dy.details[j]).max()
+            error = np.abs(combo.details[j] - (a * dx.details[j] + b * dy.details[j])).max()
+            assert error <= 1e-12 * size
+
     def test_counts_within_bound_and_monotone(self, rng):
         for order, n in [(1, 300), (2, 1024), (4, 5000)]:
             bank = daubechies(order)
