@@ -8,10 +8,18 @@ n+1 distinct circulant eigenvalues come from one real transform of the
 autocovariance and are cached per (H, n) as n+1 scaled weights, and each path
 is one inverse real FFT of length 2n.  A Cholesky factorization of the full
 covariance is kept as the small-n test oracle.
+
+The rows of a panel are independent under the seed tree, and their normals,
+FFT and cumulative sum run in numpy code that releases the GIL, so
+gen_panel synthesizes them on a thread per CPU the process may run on.  Each
+row depends only on its own generator and its mode's weights, so the panel is
+bitwise the same for any number of threads.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +253,19 @@ def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(cov) @ z[:n]
 
 
+def _psd_weights(H: float, n: int) -> np.ndarray:
+    """Half-spectrum weights for (H, n); ConfigError when the embedding is not PSD."""
+    weights = _embedding_sqrt_eigs(H, n)
+    if weights is None:
+        raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
+    return weights
+
+
+def _path(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
+    """One fBm path from 2n normals of rng: the body shared by fbm_path and gen_panel's rows."""
+    return np.cumsum(_fgn_from_noise(rng.standard_normal(2 * n), weights, n))
+
+
 def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator | None = None) -> np.ndarray:
     """One exact discrete-time fBm path (B_H(1), ..., B_H(n)) by circulant embedding."""
     if not (0.0 < H < 1.0):
@@ -253,12 +274,16 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
         raise DomainError(f"need n >= 1, got {n}")
     if rng is None:
         rng = subseed(0 if seed is None else seed, 2, 0)
+    return _path(rng, _psd_weights(H, n), n)
 
-    z = rng.standard_normal(2 * n)
-    weights = _embedding_sqrt_eigs(H, n)
-    if weights is None:
-        raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
-    return np.cumsum(_fgn_from_noise(z, weights, n))
+
+def _row_workers(p: int) -> int:
+    """Threads for p rows: one per CPU this process may run on, at most p."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(p, cpus)
 
 
 def gen_panel(dist: HurstDistribution, p: int, n: int,
@@ -274,10 +299,31 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
     h = sample_hurst(dist, p, seed)
+    # weights of each distinct mode, in order of first appearance, on this
+    # thread: the first non-PSD row raises before any row starts, and the
+    # rows read no module state
+    weights = {}
+    for H in h:
+        if H not in weights:
+            weights[H] = _psd_weights(H, n)
     x = np.empty((p, n))
-    for i in range(p):
-        x[i] = fbm_path(h[i], n, rng=subseed(seed, 2, i))
 
+    def fill(i: int) -> None:
+        x[i] = _path(subseed(seed, 2, i), weights[h[i]], n)
+
+    workers = _row_workers(p)
+    if workers == 1:
+        for _ in map(fill, range(p)):
+            pass
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # leaving the map early (a row raised, or Ctrl-C) cancels the
+            # rows not yet started; the with waits for those in flight
+            for _ in pool.map(fill, range(p)):
+                pass
+
+    # mixing holds the BLAS calls (QR, condition number, product), so it
+    # runs after the pool and never shares the CPUs with it
     if mix is None:
         return Panel(x), h
     if isinstance(mix, str):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,14 @@ from hurstmodes import (
     sample_hurst,
 )
 from hurstmodes import synth
-from hurstmodes.synth import _embedding_sqrt_eigs, _fgn_cholesky, _fgn_from_noise, fgn_autocovariance, subseed
+from hurstmodes.synth import (
+    _embedding_sqrt_eigs,
+    _fgn_cholesky,
+    _fgn_from_noise,
+    _row_workers,
+    fgn_autocovariance,
+    subseed,
+)
 
 
 class TestHurstDistribution:
@@ -214,6 +225,137 @@ class TestGenPanel:
         panel, h = gen_panel(dist, 64, 2**14, seed=1)
         assert panel.data.shape == (64, 2**14)
         assert set(np.unique(h)) <= {0.25, 0.35}
+
+
+def _serial_panel(dist, p, n, seed):
+    """gen_panel's output rebuilt row by row from fbm_path and the same mixing."""
+    h = sample_hurst(dist, p, seed)
+    x = np.empty((p, n))
+    for i in range(p):
+        x[i] = fbm_path(h[i], n, rng=subseed(seed, 2, i))
+    return MixingMatrix.haar(p, seed).matrix @ x, h
+
+
+class TestRowPool:
+    DIST = HurstDistribution.uniform([0.2, 0.5, 0.8])
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("p", [1, 3, 64])
+    def test_bitwise_equal_to_serial_rows(self, monkeypatch, p, workers):
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+        if workers == 1:
+            monkeypatch.setattr(synth, "ThreadPoolExecutor",
+                                lambda *a, **k: pytest.fail("one worker started a pool"))
+        ref, h_ref = _serial_panel(self.DIST, p, 2**12, seed=17)
+        panel, h = gen_panel(self.DIST, p, 2**12, seed=17)
+        assert panel.data.tobytes() == ref.tobytes()
+        assert np.array_equal(h, h_ref)
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # many more threads than CPUs, switching as often as the interpreter
+        # allows: a row written twice, torn or lost changes the bytes
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: 16)
+        ref, _ = _serial_panel(self.DIST, 64, 2**11, seed=5)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(gen_panel(self.DIST, 64, 2**11, seed=5)),
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result[0][0].data.tobytes() == ref.tobytes()
+
+    def test_worker_cap_without_threads(self, monkeypatch):
+        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+        assert _row_workers(3) == 3
+        assert _row_workers(20_000) == 10_000
+        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {5})
+        assert _row_workers(64) == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(synth.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
+        assert _row_workers(64) == 1
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 6)
+        assert _row_workers(64) == 6
+        assert _row_workers(4) == 4
+
+    def test_threads_joined_after_return(self, monkeypatch):
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
+        before = threading.active_count()
+        gen_panel(self.DIST, 16, 256, seed=0)
+        assert threading.active_count() == before
+
+    def test_rows_touch_no_module_state(self, monkeypatch):
+        # the weight cache is filled by the caller alone, and rows do not go
+        # through the module's fbm_path, which a caller may have wrapped
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
+        threads = []
+        real = synth._embedding_sqrt_eigs
+
+        def eigs(H, n):
+            threads.append(threading.current_thread())
+            return real(H, n)
+
+        monkeypatch.setattr(synth, "_embedding_sqrt_eigs", eigs)
+        monkeypatch.setattr(synth, "fbm_path", lambda *a, **k: pytest.fail("a row called fbm_path"))
+        gen_panel(self.DIST, 32, 256, seed=2)
+        assert threads and set(threads) == {threading.current_thread()}
+
+    def test_failing_row_cancels_pending_rows(self, monkeypatch):
+        # the first row raises and the others take 20 ms each: the error must
+        # reach the caller with the threads joined and most rows never started
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: 2)
+        calls = []
+        lock = threading.Lock()
+        real = synth._fgn_from_noise
+
+        def row_body(z, weights, n):
+            with lock:
+                calls.append(n)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("row failed")
+            time.sleep(0.02)
+            return real(z, weights, n)
+
+        monkeypatch.setattr(synth, "_fgn_from_noise", row_body)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row failed"):
+            gen_panel(self.DIST, 64, 256, seed=0)
+        assert threading.active_count() == before
+        assert len(calls) <= 16
+
+    def test_non_psd_second_mode_raises_serial_error_first(self, monkeypatch):
+        # the second distinct H of the rows is not PSD: the error is the one
+        # the row loop raised, and no row starts
+        p, n, seed = 16, 128, 3
+        h = sample_hurst(self.DIST, p, seed)
+        bad = h[h != h[0]][0]
+        real = synth._embedding_sqrt_eigs
+        asked = []
+
+        def eigs(H, n):
+            asked.append(H)
+            return None if H == bad else real(H, n)
+
+        monkeypatch.setattr(synth, "_embedding_sqrt_eigs", eigs)
+        with pytest.raises(ConfigError) as serial:
+            for i in range(p):
+                fbm_path(h[i], n, rng=subseed(seed, 2, i))
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
+        monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row started"))
+        asked.clear()
+        before = threading.active_count()
+        with pytest.raises(ConfigError) as pooled:
+            gen_panel(self.DIST, p, n, seed=seed)
+        assert str(pooled.value) == str(serial.value)
+        assert asked == [h[0], bad]
+        assert threading.active_count() == before
 
 
 class TestPanel:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstmodes import ConfigError, DomainError, daubechies, decompose, fbm_path, max_octave
@@ -162,10 +162,15 @@ class TestDecompose:
         b=st.floats(-1e3, 1e3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # subnormal coefficients: the error is one spacing, 5e-324, above 1e-12 of their size
+    @example(order=1, j_min=1, depth=0, p=1, extra=0, a=0.0, b=2.2250738585e-313, seed=0)
     def test_linearity_property(self, order, j_min, depth, p, extra, a, b, seed):
         # the cascade is a chain of convolutions: a combination of panels
         # decomposes into the same combination of their details, up to
-        # rounding relative to the terms' size
+        # rounding relative to the terms' size plus the standard model's
+        # underflow term: subnormal results round to an absolute spacing, which
+        # is not small relative to a subnormal size.  64 spacings are allowed;
+        # the most seen was 7, over 3,000 draws with a subnormal a or b
         bank = daubechies(order)
         t, j_max = bank.support_length, j_min + depth
         scale = 2**j_max
@@ -178,7 +183,7 @@ class TestDecompose:
         for j in range(j_min, j_max + 1):
             size = abs(a) * np.abs(dx.details[j]).max() + abs(b) * np.abs(dy.details[j]).max()
             error = np.abs(combo.details[j] - (a * dx.details[j] + b * dy.details[j])).max()
-            assert error <= 1e-12 * size
+            assert error <= 1e-12 * size + 64 * np.finfo(float).smallest_subnormal
 
     def test_counts_within_bound_and_monotone(self, rng):
         for order, n in [(1, 300), (2, 1024), (4, 5000)]:
