@@ -170,6 +170,7 @@ def parse_sweep_spec(path) -> ExperimentSpec:
       n p a j   panel and analysis geometry (single-scale when j given)
       j1 j2     multiscale window (used when j absent)
       m M reps seed min_cluster methods fixed_mix n_vanishing
+                (reps >= 1; methods non-empty; fixed_mix 1/0/true/false/yes/no)
     """
     kv: dict[str, str] = {}
     with open(path) as fh:
@@ -184,6 +185,12 @@ def parse_sweep_spec(path) -> ExperimentSpec:
 
     def floats(text):
         return tuple(float(s) for s in text.split(","))
+
+    def boolean(text):
+        value = text.lower()
+        if value not in ("1", "0", "true", "false", "yes", "no"):
+            raise ValueError(text)
+        return value in ("1", "true", "yes")
 
     def convert(key, raw, kind):
         try:
@@ -208,7 +215,7 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     seed = get("seed", "0", int)
     min_cluster = get("min_cluster", "2", int)
     methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
-    fixed_mix = get("fixed_mix", "false").lower() in ("1", "true", "yes")
+    fixed_mix = get("fixed_mix", "false", boolean)
     n_vanishing = get("n_vanishing", "2", int)
 
     if "j" in kv:

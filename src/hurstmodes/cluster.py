@@ -77,10 +77,9 @@ def eigengap_count(theta: np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def _farthest_point_init(x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
-    """kappa distinct rows of x, first seeded uniformly, the rest spread out."""
-    distinct = np.unique(x, axis=0)
-    centers = np.empty((kappa, x.shape[1]))
+def _farthest_point_init(distinct: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+    """kappa of the distinct rows, first seeded uniformly, the rest spread out."""
+    centers = np.empty((kappa, distinct.shape[1]))
     first = rng.integers(len(distinct))
     centers[0] = distinct[first]
     d2 = np.sum((distinct - centers[0]) ** 2, axis=1)
@@ -102,11 +101,11 @@ def kmeans(points: np.ndarray, kappa: int, seed: int = 0) -> tuple[tuple[int, ..
     if x.ndim != 2:
         raise DomainError(f"points must be a p x d array, got ndim={x.ndim}")
     p = len(x)
-    n_distinct = len(np.unique(x, axis=0))
-    if not 1 <= kappa <= n_distinct:
-        raise DomainError(f"kappa must be in 1..{n_distinct} (distinct points), got {kappa}")
+    distinct = np.unique(x, axis=0)
+    if not 1 <= kappa <= len(distinct):
+        raise DomainError(f"kappa must be in 1..{len(distinct)} (distinct points), got {kappa}")
 
-    centers = _farthest_point_init(x, kappa, subseed(seed, 3))
+    centers = _farthest_point_init(distinct, kappa, subseed(seed, 3))
     labels = np.zeros(p, dtype=int)
     for _ in range(_MAX_ITERS):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
@@ -163,7 +162,7 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
 
     means = np.array([x[list(c)].mean() for c in clusters])
     order = np.argsort(means)
-    clusters = tuple(tuple(sorted(clusters[i])) for i in order)
+    clusters = tuple(clusters[i] for i in order)
     means = means[order]
     sizes = np.array([len(c) for c in clusters], dtype=float)
     return ClusterScheme(

@@ -148,6 +148,10 @@ class ExperimentSpec:
     fixed_mix: bool = False  # one mixing matrix for all reps instead of redrawing
 
     def __post_init__(self):
+        if self.reps < 1:
+            raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if not self.methods:
+            raise ConfigError("methods must name at least one of spectral, gmm")
         for method in self.methods:
             if method not in ("spectral", "gmm"):
                 raise ConfigError(f"unknown method {method!r}")

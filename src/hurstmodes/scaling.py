@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,18 @@ class WaveletRandomMatrix:
     octave: int
     effective_count: int
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum, computed once on first read; raises
+        DegenerateSpectrumError on every read when it is not positive."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        if lam[0] <= 0.0:
+            raise DegenerateSpectrumError(
+                f"non-positive eigenvalue {lam[0]:.3e} at octave {self.octave}: effective sample "
+                "size too small or rank-deficient panel"
+            )
+        return lam
+
 
 def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletRandomMatrix:
     """Second-moment matrix of the border-free detail vectors at an octave.
@@ -61,22 +74,11 @@ def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletR
     return WaveletRandomMatrix(w, octave, n_j)
 
 
-def _positive_eigenvalues(matrix: np.ndarray, octave: int) -> np.ndarray:
-    lam = np.linalg.eigvalsh(matrix)
-    if lam[0] <= 0.0:
-        raise DegenerateSpectrumError(
-            f"non-positive eigenvalue {lam[0]:.3e} at octave {octave}: effective sample "
-            "size too small or rank-deficient panel"
-        )
-    return lam
-
-
 def log_eigen(wrm: WaveletRandomMatrix, a: int) -> np.ndarray:
     """Per-rank statistic log lambda_l / (2 log a) - 1/2, sorted ascending."""
     if a < 2:
         raise DomainError(f"scale factor a must be >= 2, got {a}")
-    lam = _positive_eigenvalues(wrm.matrix, wrm.octave)
-    return np.log(lam) / (2.0 * np.log(a)) - 0.5
+    return np.log(wrm.eigenvalues) / (2.0 * np.log(a)) - 0.5
 
 
 def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> np.ndarray:
@@ -95,7 +97,7 @@ def log_eigen_multiscale(decomp: WaveletDecomposition, j1: int, j2: int) -> np.n
     weights = []
     for j in octaves:
         wrm = wavelet_random_matrix(decomp, j)
-        loglam.append(np.log2(_positive_eigenvalues(wrm.matrix, j)))
+        loglam.append(np.log2(wrm.eigenvalues))
         weights.append(float(wrm.effective_count))
     y = np.vstack(loglam)  # octaves x p, each row ascending
     w = np.asarray(weights)
@@ -111,8 +113,9 @@ def heuristic_m(wrm: WaveletRandomMatrix, a: int) -> float:
     log of the extreme-eigenvalue ratio of the analysis-scale matrix,
     divided by 2 log a.  This equals the spread of log_eigen(wrm, a), so
     every threshold that can produce more than one cluster lies below it.
-    Zero when the spectrum is flat."""
+    Zero when the spectrum is flat.  Reads the spectrum log_eigen has
+    already computed for the same matrix."""
     if a < 2:
         raise DomainError(f"scale factor a must be >= 2, got {a}")
-    lam = _positive_eigenvalues(wrm.matrix, wrm.octave)
+    lam = wrm.eigenvalues
     return float(np.log(lam[-1] / lam[0]) / (2.0 * np.log(a)))

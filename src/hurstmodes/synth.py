@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,18 +74,6 @@ class HurstDistribution:
     def r(self) -> int:
         return len(self.modes)
 
-    @property
-    def delta_min(self) -> float:
-        """Smallest gap between adjacent modes (inf for a single mode)."""
-        if self.r == 1:
-            return float("inf")
-        return min(h2 - h1 for h1, h2 in zip(self.modes, self.modes[1:]))
-
-    @property
-    def varpi(self) -> float:
-        """Smallest mode."""
-        return self.modes[0]
-
     @classmethod
     def point(cls, h: float) -> "HurstDistribution":
         return cls((h,), (1.0,))
@@ -118,11 +107,6 @@ class MixingMatrix:
     @property
     def p(self) -> int:
         return self.matrix.shape[0]
-
-    def orthogonality_defect(self) -> float:
-        """max |M M^T - I|; ~0 for orthogonal matrices."""
-        g = self.matrix @ self.matrix.T
-        return float(np.max(np.abs(g - np.eye(self.p))))
 
     @classmethod
     def haar(cls, p: int, seed: int) -> "MixingMatrix":
@@ -197,12 +181,9 @@ def fbm_covariance(H: float, n: int) -> np.ndarray:
     return 0.5 * (s ** (2.0 * H) + u ** (2.0 * H) - np.abs(s - u) ** (2.0 * H))
 
 
-# half-spectrum weight cache keyed by (H, n): the transform of the embedded
-# autocovariance is deterministic and reused across paths for the same mode
-_EMBED_CACHE: dict[tuple[float, int], np.ndarray] = {}
-_EMBED_CACHE_MAX = 64
-
-
+# the transform of the embedded autocovariance is deterministic and reused
+# across paths for the same mode; callers must not write to the weights
+@lru_cache(maxsize=64)
 def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray | None:
     """Half-spectrum weights of the circulant embedding, or None if not PSD.
 
@@ -211,18 +192,11 @@ def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray | None:
     1/(2 sqrt n), and by sqrt 2 at the real frequencies 0 and n, so that
     _fgn_from_noise needs one multiply and one inverse real FFT.
     """
-    key = (float(H), int(n))
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
     lam = np.fft.hfft(fgn_autocovariance(H, n + 1), 2 * n)[: n + 1]
     if lam.min() < -1e-9 * lam.max():
         return None
     out = np.sqrt(np.clip(lam, 0.0, None)) / (2.0 * np.sqrt(n))
     out[[0, n]] *= np.sqrt(2.0)
-    if len(_EMBED_CACHE) >= _EMBED_CACHE_MAX:
-        _EMBED_CACHE.clear()
-    _EMBED_CACHE[key] = out
     return out
 
 
@@ -287,14 +261,13 @@ def _row_workers(p: int) -> int:
 
 
 def gen_panel(dist: HurstDistribution, p: int, n: int,
-              mix: MixingMatrix | np.ndarray | str | None = "orthogonal",
+              mix: MixingMatrix | str | None = "orthogonal",
               seed: int = 0) -> tuple[Panel, np.ndarray]:
     """p x n observed panel Y = M X with independent fBm rows in X.
 
     Returns the panel together with the true Hurst exponents of the latent
     rows (for scoring in simulation studies).  mix may be "orthogonal"
-    (Haar-random, drawn from seed), None (no mixing), a MixingMatrix, or a
-    raw square array (validated for invertibility).
+    (Haar-random, drawn from seed), None (no mixing) or a MixingMatrix.
     """
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
@@ -331,7 +304,7 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
             raise ConfigError(f"unknown mixing policy {mix!r}")
         mix = MixingMatrix.haar(p, seed)
     elif not isinstance(mix, MixingMatrix):
-        mix = MixingMatrix(np.asarray(mix))
+        raise ConfigError(f"mix must be 'orthogonal', None or a MixingMatrix, got {type(mix).__name__}")
     if mix.p != p:
         raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
     return Panel(mix.matrix @ x), h

@@ -14,11 +14,12 @@ arrays it allocates are the kept detail matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .synth import Panel
 
 __all__ = [
@@ -108,29 +109,31 @@ def _daubechies_polish(h: np.ndarray, order: int) -> np.ndarray:
     return u
 
 
-_BANK_CACHE: dict[int, FilterBank] = {}
-
-
 def daubechies(n_vanishing: int) -> FilterBank:
     """Daubechies extremal-phase filter bank with the given number of
     vanishing moments (1 = Haar, 2 = the 4-tap filter, ..., up to 10)."""
     if not isinstance(n_vanishing, (int, np.integer)) or not (1 <= n_vanishing <= _MAX_ORDER):
         raise ConfigError(f"n_vanishing must be an integer in 1..{_MAX_ORDER}, got {n_vanishing!r}")
-    n_vanishing = int(n_vanishing)
-    bank = _BANK_CACHE.get(n_vanishing)
-    if bank is None:
-        u = _daubechies_polish(_daubechies_initial(n_vanishing), n_vanishing)
-        v = ((-1.0) ** np.arange(len(u))) * u[::-1]
-        bank = FilterBank(n_vanishing, u, v)
-        _BANK_CACHE[n_vanishing] = bank
-    return bank
+    return _bank(int(n_vanishing))
+
+
+@lru_cache(maxsize=_MAX_ORDER)
+def _bank(n_vanishing: int) -> FilterBank:
+    u = _daubechies_polish(_daubechies_initial(n_vanishing), n_vanishing)
+    v = ((-1.0) ** np.arange(len(u))) * u[::-1]
+    return FilterBank(n_vanishing, u, v)
+
+
+def _window(n: int, support_length: int, octave: int) -> tuple[int, int]:
+    """Shift indices (k_lo, k_hi) of the first and last border-free detail
+    coefficients at an octave."""
+    t, j2 = support_length, 2**octave
+    return -((-t) // j2), (n + 1 - t * j2) // j2
 
 
 def trimmed_count(n: int, support_length: int, octave: int) -> int:
     """Number of border-free detail coefficients at an octave (may be <= 0)."""
-    t, j2 = support_length, 2**octave
-    k_lo = -((-t) // j2)
-    k_hi = (n + 1 - t * j2) // j2
+    k_lo, k_hi = _window(n, support_length, octave)
     return k_hi - k_lo + 1
 
 
@@ -147,16 +150,12 @@ class WaveletDecomposition:
     """Border-trimmed detail coefficients of the kept octaves for a p-row panel."""
 
     details: dict[int, np.ndarray]  # kept octave -> C-contiguous p x n_j matrix
-    counts: dict[int, int]
-    octave_range: tuple[int, int]
     source_n: int
 
     def require_octave(self, octave: int) -> np.ndarray:
         if octave not in self.details:
-            from .errors import DomainError
-
             raise DomainError(
-                f"octave {octave} not in decomposition (octaves {self.octave_range[0]}..{self.octave_range[1]})"
+                f"octave {octave} not in decomposition (octaves {min(self.details)}..{max(self.details)})"
             )
         return self.details[octave]
 
@@ -191,7 +190,6 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
     u_rev = bank.lowpass[::-1]
     v_rev = bank.highpass[::-1]
     details: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
 
     # per octave: (octave, low-pass start, width, first detail index if kept)
     steps = []
@@ -203,14 +201,11 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
         start = 2 * k0_new + t - 1 - k0  # full-convolution index of shift k0_new
         first = 0
         if j >= j_min:
-            j2 = 2**j
-            k_lo = -((-t) // j2)
-            k_hi = (n + 1 - t * j2) // j2
+            k_lo, k_hi = _window(n, t, j)
             if not (k0_new <= k_lo and k_hi <= k1_new):
                 raise AssertionError("border-free window escaped the computed support")
-            counts[j] = k_hi - k_lo + 1
             first = start + 2 * (k_lo - k0_new)
-            details[j] = np.empty((p, counts[j]))
+            details[j] = np.empty((p, k_hi - k_lo + 1))
         steps.append((j, start, width, first))
         k0, length = k0_new, width
 
@@ -218,8 +213,9 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
         approx = data[i]
         for j, start, width, first in steps:
             if j >= j_min:
-                details[j][i] = np.convolve(approx, v_rev)[first : first + 2 * counts[j] : 2]
+                d = details[j]
+                d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
             if j < j_max:
                 approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
 
-    return WaveletDecomposition(details, counts, (j_min, j_max), n)
+    return WaveletDecomposition(details, n)

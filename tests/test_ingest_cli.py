@@ -474,7 +474,8 @@ class TestCliSweep:
 
     # the gmm baseline reads neither m nor min_cluster; they are still config errors
     @pytest.mark.parametrize("line", ["M = 0", "workers = 2", "n = x", "M = bogus", "deltas = 0,a",
-                                      "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm"])
+                                      "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm",
+                                      "reps = -3", "methods = ,", "fixed_mix = ture"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)

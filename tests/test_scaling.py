@@ -22,9 +22,7 @@ from test_wavelet import reference_pyramid
 
 
 def fake_decomposition(details: dict[int, np.ndarray], n: int = 0) -> WaveletDecomposition:
-    counts = {j: d.shape[1] for j, d in details.items()}
-    octaves = sorted(details)
-    return WaveletDecomposition(details, counts, (octaves[0], octaves[-1]), n)
+    return WaveletDecomposition(details, n)
 
 
 def diagonal_details(eigenvalues, n_j: int) -> np.ndarray:
@@ -211,6 +209,47 @@ class TestHeuristicM:
         w = wavelet_random_matrix(fake_decomposition({5: np.ones((3, 4))}), 5)
         with pytest.raises(DegenerateSpectrumError):
             heuristic_m(w, 16)
+
+
+class TestSpectrumOnce:
+    """Each analysed octave is decomposed into eigenvalues exactly once."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        panel, _ = gen_panel(HurstDistribution((0.25, 0.35), (0.5, 0.5)), 8, 2**12, seed=5)
+        return panel
+
+    def test_single_scale_one_call(self, panel, eigvalsh_calls):
+        log_eigen_set(panel, PipelineConfig(a=16, j=1))
+        assert eigvalsh_calls == [(8, 8)]
+
+    @pytest.mark.parametrize("j1,j2", [(1, 2), (2, 5)])
+    def test_multiscale_one_call_per_octave(self, panel, eigvalsh_calls, j1, j2):
+        log_eigen_set(panel, PipelineConfig(multiscale=(j1, j2)))
+        assert eigvalsh_calls == [(8, 8)] * (j2 - j1 + 1)
+
+    def test_second_read_returns_same_array(self, eigvalsh_calls):
+        w = wavelet_random_matrix(fake_decomposition({1: diagonal_details([1.0, 2.0], 4)}), 1)
+        assert w.eigenvalues is w.eigenvalues
+        assert len(eigvalsh_calls) == 1
+
+    def test_rank_deficient_raises_on_every_read(self):
+        w = wavelet_random_matrix(fake_decomposition({1: np.ones((3, 5))}), 1)
+        for _ in range(2):
+            with pytest.raises(DegenerateSpectrumError, match=r"non-positive eigenvalue .* at octave 1: "):
+                w.eigenvalues
 
 
 class TestRankPairingTrend:

@@ -32,15 +32,14 @@ class TestHurstDistribution:
     def test_point_mass(self):
         d = HurstDistribution.point(0.5)
         assert d.r == 1
-        assert d.delta_min == float("inf")
-        assert d.varpi == 0.5
+        assert d.modes == (0.5,)
 
     def test_uniform_three(self):
         d = HurstDistribution.uniform([0.2, 0.5, 0.8])
         assert d.r == 3
         assert abs(sum(d.probs) - 1.0) <= 1e-12
-        assert d.delta_min == pytest.approx(0.3)
-        assert d.varpi == 0.2
+        assert min(np.diff(d.modes)) == pytest.approx(0.3)
+        assert d.modes[0] == 0.2
 
     @pytest.mark.parametrize("modes,probs", [
         ((0.5, 0.3), (0.5, 0.5)),        # not increasing
@@ -178,7 +177,7 @@ class TestFbmPath:
 class TestMixingMatrix:
     def test_haar_orthogonal(self):
         m = MixingMatrix.haar(16, seed=2)
-        assert m.orthogonality_defect() < 1e-10
+        assert np.max(np.abs(m.matrix @ m.matrix.T - np.eye(16))) < 1e-10
         assert abs(abs(np.linalg.det(m.matrix)) - 1.0) < 1e-10
 
     def test_haar_not_a_fixed_slice(self):
@@ -213,12 +212,16 @@ class TestGenPanel:
 
     def test_mix_shape_checked(self):
         with pytest.raises(DomainError):
-            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=np.eye(3), seed=0)
+            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=MixingMatrix(np.eye(3)), seed=0)
 
     def test_singular_user_mix_rejected(self):
         bad = np.ones((4, 4))
         with pytest.raises(DomainError):
-            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=bad, seed=0)
+            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=MixingMatrix(bad), seed=0)
+
+    def test_raw_array_mix_rejected(self):
+        with pytest.raises(ConfigError, match="MixingMatrix"):
+            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=np.eye(4), seed=0)
 
     def test_paper_scale_panel(self):
         dist = HurstDistribution.uniform([0.25, 0.35])
