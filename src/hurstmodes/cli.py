@@ -54,70 +54,78 @@ def _dump_json(obj, path: str | None) -> None:
             fh.write(text)
 
 
-def _add_analysis_flags(sub: argparse.ArgumentParser) -> None:
+# analysis setting -> (type, default, help): estimate takes each as a flag
+# ("_" becomes "-"), spectrum the ones that shape the statistic, a sweep spec
+# as a key of the same name
+_SETTINGS = {
+    "j": (int, None, "single-scale octave (requires --a; default is multiscale)"),
+    "j1": (int, 2, "first octave of the multiscale window"),
+    "j2": (int, 5, "last octave of the multiscale window"),
+    "a": (int, 16, "scale factor (power of two), single-scale mode only"),
+    "n_vanishing": (int, 2, "vanishing moments of the Daubechies wavelet"),
+    "m": (int, 10, "number of grid points for threshold selection"),
+    "M": (str, "auto", "grid upper bound ('auto' or a positive number)"),
+    "min_cluster": (int, 2, "smallest cluster the selection admits"),
+}
+_STATISTIC_SETTINGS = ("j", "j1", "j2", "a", "n_vanishing")
+
+
+def _add_analysis_flags(sub: argparse.ArgumentParser, names) -> None:
     sub.add_argument("--input", required=True, help="panel CSV (columns = series, rows = time)")
-    sub.add_argument("--j", type=int, default=None, help="single-scale octave (requires --a; default is multiscale)")
-    sub.add_argument("--j1", type=int, default=2, help="first octave of the multiscale window")
-    sub.add_argument("--j2", type=int, default=5, help="last octave of the multiscale window")
-    sub.add_argument("--a", type=int, default=16, help="scale factor (power of two), single-scale mode only")
-    sub.add_argument("--m", type=int, default=10, help="number of grid points for threshold selection")
-    sub.add_argument("--M", default="auto", help="grid upper bound ('auto' or a positive number)")
-    sub.add_argument("--min-cluster", type=int, default=2, dest="min_cluster")
+    for name in names:
+        kind, default, text = _SETTINGS[name]
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=default, help=text)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--n-vanishing", type=int, default=2, dest="n_vanishing")
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
     sub.add_argument("--bins", type=int, default=16, help="histogram bins")
     sub.add_argument("--time-column", default="auto", choices=("auto", "yes", "no"),
                      help="treat the first CSV column as a time index")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """Pipeline configuration from the flags, checked before any input is read."""
+def _pipeline_config(settings: dict, n: int = 0, p: int = 0) -> PipelineConfig:
+    """The PipelineConfig of a table of analysis settings (unset ones take
+    their defaults); single-scale when j is set."""
+    s = {name: settings.get(name, default) for name, (_, default, _) in _SETTINGS.items()}
+    try:
+        grid_max = None if s["M"] == "auto" else float(s["M"])
+    except ValueError:
+        raise ConfigError(f"M must be positive or 'auto', got {s['M']!r}") from None
+    window = {"multiscale": (s["j1"], s["j2"])} if s["j"] is None else {"a": s["a"], "j": s["j"]}
+    return PipelineConfig(n=n, p=p, m=s["m"], grid_max=grid_max, min_cluster=s["min_cluster"],
+                          n_vanishing=s["n_vanishing"], **window)
+
+
+def _analyze_panel(args, affine: str = "h"):
+    """The prologue estimate and spectrum share: check the settings, read and
+    standardize the CSV, and take its statistics.  Returns the config, the
+    grid bound, the series names and the output fields both commands write."""
     if args.bins < 1:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
-    try:
-        grid_max = None if args.M == "auto" else float(args.M)
-    except ValueError:
-        raise ConfigError(f"M must be positive or 'auto', got {args.M!r}") from None
-    if args.j is not None:
-        return PipelineConfig(a=args.a, j=args.j, multiscale=None, m=args.m,
-                              grid_max=grid_max, min_cluster=args.min_cluster,
-                              n_vanishing=args.n_vanishing)
-    return PipelineConfig(multiscale=(args.j1, args.j2), m=args.m,
-                          grid_max=grid_max, min_cluster=args.min_cluster,
-                          n_vanishing=args.n_vanishing)
-
-
-def _load_panel(args):
-    tc = {"auto": "auto", "yes": True, "no": False}[args.time_column]
-    panel = read_panel_csv(args.input, time_column=tc)
-    return standardize(panel)
-
-
-def _histogram(values: np.ndarray, bins: int, affine: str = "h") -> dict:
-    vals = 2.0 * values + 1.0 if affine == "esd" else values
-    counts, edges = np.histogram(vals, bins=bins)
-    return {"bin_edges": edges, "counts": counts, "affine": affine}
-
-
-def _mode_descriptor(cfg: PipelineConfig) -> dict:
-    if cfg.multiscale is not None:
-        return {"kind": "multiscale", "j1": cfg.multiscale[0], "j2": cfg.multiscale[1]}
-    return {"kind": "single", "a": cfg.a, "j": cfg.j}
+    cfg = _pipeline_config(vars(args))
+    time_column = {"auto": "auto", "yes": True, "no": False}[args.time_column]
+    panel = standardize(read_panel_csv(args.input, time_column=time_column))
+    h_set, grid_max = log_eigen_set(panel, cfg)
+    mode = ({"kind": "multiscale", "j1": cfg.multiscale[0], "j2": cfg.multiscale[1]}
+            if cfg.multiscale is not None else {"kind": "single", "a": cfg.a, "j": cfg.j})
+    counts, edges = np.histogram(2.0 * h_set + 1.0 if affine == "esd" else h_set, bins=args.bins)
+    fields = {
+        "schema": SCHEMA,
+        "mode": mode,
+        "p": panel.p,
+        "n": panel.n,
+        "h_values": h_set,
+        "histogram": {"bin_edges": edges, "counts": counts, "affine": affine},
+        "seed": args.seed,
+    }
+    return cfg, grid_max, panel.series, fields
 
 
 def cmd_estimate(args) -> int:
-    cfg = _pipeline_config(args)
-    panel = _load_panel(args)
-    h_set, grid_max = log_eigen_set(panel, cfg)
-    est = select_scheme(h_set, m=cfg.m, grid_max=grid_max, seed=args.seed,
+    cfg, grid_max, series, out = _analyze_panel(args)
+    est = select_scheme(out["h_values"], m=cfg.m, grid_max=grid_max, seed=args.seed,
                         min_cluster=cfg.min_cluster)
-    out = {
-        "schema": SCHEMA,
-        "mode": _mode_descriptor(cfg),
-        "p": panel.p,
-        "n": panel.n,
-        "series": list(panel.series) if panel.series else None,
+    out.update({
+        "series": list(series) if series else None,
         "r_hat": est.r_hat,
         "modes": est.modes,
         "probs": est.probs,
@@ -130,30 +138,16 @@ def cmd_estimate(args) -> int:
             "chosen_index": est.trace.chosen_index,
             "excluded": [bool(b) for b in est.trace.excluded],
         },
-        "h_values": h_set,
-        "histogram": _histogram(h_set, args.bins),
         "m": cfg.m,
         "grid_max": grid_max,
         "min_cluster": cfg.min_cluster,
-        "seed": args.seed,
-    }
+    })
     _dump_json(out, args.output)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _pipeline_config(args)
-    panel = _load_panel(args)
-    h_set, _ = log_eigen_set(panel, cfg)
-    out = {
-        "schema": SCHEMA,
-        "mode": _mode_descriptor(cfg),
-        "p": panel.p,
-        "n": panel.n,
-        "h_values": h_set,
-        "histogram": _histogram(h_set, args.bins, affine=args.affine),
-        "seed": args.seed,
-    }
+    *_, out = _analyze_panel(args, affine=args.affine)
     _dump_json(out, args.output)
     return 0
 
@@ -167,10 +161,12 @@ def parse_sweep_spec(path) -> ExperimentSpec:
       deltas    comma list of mode gaps for bimodal         (e.g. 0,0.05,0.1)
       probs     comma list of probabilities                 (default uniform)
       modes     for custom: semicolon-separated mode lists  (e.g. 0.2,0.5,0.8;0.3,0.6)
-      n p a j   panel and analysis geometry (single-scale when j given)
-      j1 j2     multiscale window (used when j absent)
-      m M reps seed min_cluster methods fixed_mix n_vanishing
-                (reps >= 1; methods non-empty; fixed_mix 1/0/true/false/yes/no)
+      n p       panel geometry
+      j a j1 j2 m M min_cluster n_vanishing
+                analysis settings, as the estimate flags of the same name
+                (single-scale when j given; j1/j2 then are an error)
+      reps seed methods fixed_mix
+                (reps >= 1; methods distinct, non-empty; fixed_mix 1/0/true/false/yes/no)
     """
     kv: dict[str, str] = {}
     with open(path) as fh:
@@ -198,38 +194,27 @@ def parse_sweep_spec(path) -> ExperimentSpec:
         except ValueError:
             raise ConfigError(f"sweep spec key {key!r}: cannot read {raw!r} as {kind.__name__}") from None
 
-    def get(key, default=None, kind=None):
-        raw = kv.pop(key, default)
-        return raw if kind is None or raw is None else convert(key, raw, kind)
+    def get(key, default=None, kind=str):
+        raw = kv.pop(key, None)
+        return default if raw is None else convert(key, raw, kind)
 
+    window = [key for key in ("j1", "j2") if key in kv]
+    if "j" in kv and window:
+        raise ConfigError(f"sweep spec key 'j' (single-scale) conflicts with {', '.join(window)} "
+                          "(multiscale window); set one or the other")
+    settings = {name: get(name, default, kind) for name, (kind, default, _) in _SETTINGS.items()}
     family = get("family", "bimodal")
-    base = get("base", "0.25", float)
+    base = get("base", 0.25, float)
     probs = get("probs")
     probs = convert("probs", probs, floats) if probs else None
-    n = get("n", "16384", int)
-    p = get("p", "64", int)
-    m = get("m", "10", int)
-    value_m = get("M", "auto")
-    grid_max = None if value_m == "auto" else convert("M", value_m, float)
-    reps = get("reps", "200", int)
-    seed = get("seed", "0", int)
-    min_cluster = get("min_cluster", "2", int)
+    reps = get("reps", 200, int)
+    seed = get("seed", 0, int)
     methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
-    fixed_mix = get("fixed_mix", "false", boolean)
-    n_vanishing = get("n_vanishing", "2", int)
-
-    if "j" in kv:
-        pipeline = PipelineConfig(n=n, p=p, a=get("a", "16", int), j=get("j", kind=int), m=m,
-                                  grid_max=grid_max, min_cluster=min_cluster, n_vanishing=n_vanishing)
-    else:
-        j1 = get("j1", "2", int)
-        j2 = get("j2", "5", int)
-        get("a")  # meaningless for the multiscale statistic; tolerated
-        pipeline = PipelineConfig(n=n, p=p, multiscale=(j1, j2), m=m,
-                                  grid_max=grid_max, min_cluster=min_cluster, n_vanishing=n_vanishing)
+    fixed_mix = get("fixed_mix", False, boolean)
+    pipeline = _pipeline_config(settings, n=get("n", 16384, int), p=get("p", 64, int))
 
     if family == "bimodal":
-        deltas = get("deltas", "0,0.025,0.05,0.075,0.1", floats)
+        deltas = get("deltas", (0.0, 0.025, 0.05, 0.075, 0.1), floats)
         spec = ExperimentSpec.bimodal_sweep(
             deltas, base=base, probs=probs or (0.5, 0.5), pipeline=pipeline, reps=reps,
             methods=methods, master_seed=seed, fixed_mix=fixed_mix,
@@ -258,10 +243,6 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     return spec
 
 
-_SWEEP_COLUMNS = ["config", "method", "true_r", "reps", "reps_used", "failures",
-                  "proportion_correct", "mean_epsilon_ms", "mode_rmse", "prob_rmse"]
-
-
 def _write_sweep_csv(rows, path) -> None:
     def fmt(v):
         if v is None or (isinstance(v, float) and math.isnan(v)):
@@ -270,9 +251,8 @@ def _write_sweep_csv(rows, path) -> None:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in _SWEEP_COLUMNS])
+        writer.writerow(rows[0])
+        writer.writerows([fmt(v) for v in row.values()] for row in rows)
 
 
 def cmd_sweep(args) -> int:
@@ -283,20 +263,8 @@ def cmd_sweep(args) -> int:
         _write_sweep_csv(result.rows, base + ".csv")
         wrote.append(base + ".csv")
     if args.format in ("json", "both"):
-        payload = {
-            "schema": SCHEMA,
-            "rows": result.rows,
-            "records": [
-                {
-                    "config": o["config"],
-                    "rep": o["rep"],
-                    "failure": o["failure"],
-                    "records": [vars(r) for r in o["records"]],
-                }
-                for o in result.rep_records
-            ],
-        }
-        _dump_json(payload, base + ".json")
+        records = [{**o, "records": [vars(r) for r in o["records"]]} for o in result.rep_records]
+        _dump_json({"schema": SCHEMA, "rows": result.rows, "records": records}, base + ".json")
         wrote.append(base + ".json")
     sys.stderr.write("wrote " + ", ".join(wrote) + "\n")
     return 0
@@ -308,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     est = subs.add_parser("estimate", help="estimate the Hurst distribution of a panel CSV")
-    _add_analysis_flags(est)
+    _add_analysis_flags(est, _SETTINGS)
     est.set_defaults(func=cmd_estimate)
 
     spectrum = subs.add_parser("spectrum", help="emit the log-eigenvalue histogram of a panel CSV")
-    _add_analysis_flags(spectrum)
+    _add_analysis_flags(spectrum, _STATISTIC_SETTINGS)
     spectrum.add_argument("--affine", default="h", choices=("h", "esd"),
                           help="report values on the H scale or as 2H+1")
     spectrum.set_defaults(func=cmd_spectrum)

@@ -30,7 +30,7 @@ __all__ = [
 _MAX_ITERS = 100  # Lloyd iterations before kmeans stops without converging
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class ClusterScheme:
     """Partition of {0..p-1} with derived Hurst-distribution estimates.
 

@@ -21,7 +21,7 @@ _TOL = 1e-8
 _MAX_ITERS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class GmmFit:
     k: int
     weights: np.ndarray

@@ -155,6 +155,8 @@ class ExperimentSpec:
         for method in self.methods:
             if method not in ("spectral", "gmm"):
                 raise ConfigError(f"unknown method {method!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must not repeat, got {self.methods}")
         cfg = self.pipeline
         scale = 2**cfg.total_octave
         if cfg.p >= cfg.n / scale:

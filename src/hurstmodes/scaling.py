@@ -30,7 +30,7 @@ __all__ = [
 _CHUNK = 4096  # columns per partial Gram before long-double accumulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class WaveletRandomMatrix:
     """Symmetric p x p matrix (1/n_j) sum_k d_k d_k^T at one octave."""
 

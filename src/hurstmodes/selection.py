@@ -22,7 +22,7 @@ from .synth import subseed
 __all__ = ["EstimationResult", "SelectionTrace", "select_scheme"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class SelectionTrace:
     """Per-grid-point diagnostics of one selection run."""
 
@@ -33,7 +33,7 @@ class SelectionTrace:
     schemes: tuple[ClusterScheme, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class EstimationResult:
     """Selected scheme plus the full selection trace."""
 

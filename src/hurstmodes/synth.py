@@ -88,7 +88,7 @@ class HurstDistribution:
         return cls(modes, probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class MixingMatrix:
     """Invertible p x p coordinates matrix applied to the latent panel."""
 
@@ -121,7 +121,7 @@ class MixingMatrix:
         return cls(q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class Panel:
     """p x n panel of observations (rows = components, columns = time)."""
 

@@ -34,7 +34,7 @@ __all__ = [
 _MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class FilterBank:
     """Conjugate quadrature pair: unit-norm lowpass u and highpass v_k = (-1)^k u_{T-1-k}."""
 
@@ -52,7 +52,8 @@ def _daubechies_initial(order: int) -> np.ndarray:
 
     Roots of z^{N-1} P((2 - z - 1/z)/4) split into reciprocal pairs; keeping
     the ones inside the unit circle (minimum phase) and the N-fold zero at
-    z = -1 gives the classical filter up to normalization.
+    z = -1 gives the classical filter up to normalization, its energy
+    already front-loaded.
     """
     n = order
     if n == 1:
@@ -73,9 +74,6 @@ def _daubechies_initial(order: int) -> np.ndarray:
         h = np.convolve(h, [1.0, -r])
     h = h.real
     h *= np.sqrt(2.0) / h.sum()
-    # orient with energy front-loaded (extremal phase)
-    if np.sum(h[:n] ** 2) < np.sum(h[n:] ** 2):
-        h = h[::-1]
     return h
 
 
@@ -145,7 +143,7 @@ def max_octave(n: int, support_length: int) -> int:
     return j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class WaveletDecomposition:
     """Border-trimmed detail coefficients of the kept octaves for a p-row panel."""
 

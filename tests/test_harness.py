@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from hurstmodes import (
+    ClusterScheme,
     ConfigError,
+    EstimationResult,
     ExperimentSpec,
+    FilterBank,
+    GmmFit,
     HurstDistribution,
+    MixingMatrix,
+    Panel,
     PipelineConfig,
+    SelectionTrace,
+    WaveletDecomposition,
+    WaveletRandomMatrix,
     gen_panel,
     run_pipeline,
     run_rep,
@@ -162,6 +171,15 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             small_spec(methods=("bogus",))
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match="repeat"):
+            small_spec(methods=("spectral", "spectral"))
+
+    @pytest.mark.parametrize("kwargs, match", [({"j": -1}, "octave j"), ({"multiscale": (3, 2)}, "j1 < j2")])
+    def test_window_checked(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig(**kwargs)
+
     def test_scale_factor_power_of_two(self):
         with pytest.raises(ConfigError):
             PipelineConfig(n=2**10, p=4, a=12, j=1)
@@ -175,3 +193,32 @@ class TestExperimentSpec:
     def test_grid_counts_at_least_one(self, field):
         with pytest.raises(ConfigError, match=field):
             PipelineConfig(**{field: 0})
+
+
+def _estimation_result():
+    scheme = ClusterScheme(((0, 1),), 1, np.array([0.5]), np.array([1.0]), 0.0)
+    trace = SelectionTrace(np.zeros(2), np.zeros(2), 0, np.zeros(2, dtype=bool), (scheme,))
+    return EstimationResult(1, np.array([0.5]), np.array([1.0]), 0.1, 0.0, scheme, trace)
+
+
+# results that hold arrays compare by identity: the generated field-wise
+# __eq__ would ask numpy for the truth value of an array
+_ARRAY_HOLDERS = {
+    "WaveletRandomMatrix": lambda: WaveletRandomMatrix(np.eye(3), 1, 4),
+    "FilterBank": lambda: FilterBank(1, np.ones(2) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
+    "MixingMatrix": lambda: MixingMatrix(np.eye(3)),
+    "Panel": lambda: Panel(np.zeros((2, 4))),
+    "WaveletDecomposition": lambda: WaveletDecomposition({1: np.zeros((2, 3))}, 8),
+    "ClusterScheme": lambda: _estimation_result().scheme,
+    "SelectionTrace": lambda: _estimation_result().trace,
+    "EstimationResult": _estimation_result,
+    "GmmFit": lambda: GmmFit(1, np.ones(1), np.zeros(1), np.ones(1), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDERS))
+def test_array_results_compare_by_identity(name):
+    first, second = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert (first == first) is True
+    assert (first == second) is False
+    assert len({first, second, first}) == 2

@@ -9,9 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hurstmodes import DataError, HurstDistribution, Panel, gen_panel, read_panel_csv, standardize
+from hurstmodes import (
+    DataError,
+    HurstDistribution,
+    Panel,
+    PipelineConfig,
+    gen_panel,
+    read_panel_csv,
+    standardize,
+)
 from hurstmodes import cli
-from hurstmodes.cli import main
+from hurstmodes.cli import main, parse_sweep_spec
 
 
 def write_panel_csv(path, data, names=None, time_index=None, cell=repr):
@@ -363,6 +371,12 @@ class TestCliEstimate:
         assert abs(sum(result["probs"]) - 1.0) < 1e-12
         assert len(result["trace"]["grid"]) == 10
 
+    def test_single_scale_mode_descriptor(self, fbm_csv, tmp_path):
+        out = tmp_path / "single.json"
+        assert main(["estimate", "--input", str(fbm_csv), "--j", "1", "--a", "16",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["mode"] == {"kind": "single", "a": 16, "j": 1}
+
     def test_empty_input_exit_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -437,6 +451,13 @@ class TestCliSpectrum:
             main([subcommand, "--input", str(fbm_csv), "--format", fmt])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--m", "--M", "--min-cluster"])
+    def test_selection_flags_rejected(self, fbm_csv, flag):
+        # spectrum selects no scheme, so it takes no selection setting
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--input", str(fbm_csv), flag, "5"])
+        assert exc.value.code == 2
+
 
 class TestCliSweep:
     def test_end_to_end(self, tmp_path):
@@ -475,7 +496,8 @@ class TestCliSweep:
     # the gmm baseline reads neither m nor min_cluster; they are still config errors
     @pytest.mark.parametrize("line", ["M = 0", "workers = 2", "n = x", "M = bogus", "deltas = 0,a",
                                       "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm",
-                                      "reps = -3", "methods = ,", "fixed_mix = ture"])
+                                      "reps = -3", "methods = ,", "fixed_mix = ture", "a = x",
+                                      "j = 1\nj1 = 3", "j = 1\nj2 = 5", "methods = spectral,spectral"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)
@@ -483,6 +505,49 @@ class TestCliSweep:
         spec.write_text(f"family = bimodal\n{line}\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
         assert ran == []
+
+    @pytest.mark.parametrize("text, message", [
+        ("family = bimodal\nn 2048\n", "bad.txt:2: expected 'key = value', got 'n 2048'"),
+        ("family = custom\n", "family=custom requires a 'modes' entry"),
+        ("family = trimodal\n", "unknown family 'trimodal'"),
+        ("M = bogus\n", "M must be positive or 'auto', got 'bogus'"),
+        ("a = x\n", "sweep spec key 'a': cannot read 'x' as int"),
+        ("j = 1\nj1 = 3\nj2 = 4\n", "sweep spec key 'j' (single-scale) conflicts with j1, j2 (multiscale window)"),
+        ("methods = gmm,spectral,gmm\n", "methods must not repeat, got ('gmm', 'spectral', 'gmm')"),
+    ])
+    def test_rejection_named(self, tmp_path, monkeypatch, capsys, text, message):
+        ran = []
+        monkeypatch.setattr(cli, "run_sweep", ran.append)
+        spec = tmp_path / "bad.txt"
+        spec.write_text(text)
+        assert main(["sweep", "--spec", str(spec)]) == 2
+        assert message in json.loads(capsys.readouterr().err.strip())["message"]
+        assert ran == []
+
+    def test_spec_defaults(self, tmp_path):
+        spec = tmp_path / "defaults.txt"
+        spec.write_text("family = bimodal\n")
+        parsed = parse_sweep_spec(spec)
+        assert parsed.pipeline == PipelineConfig(n=16384, p=64, multiscale=(2, 5))
+        assert [label for label, _ in parsed.configs] == [
+            "delta=0", "delta=0.025", "delta=0.05", "delta=0.075", "delta=0.1"]
+        assert parsed.configs[1][1] == HurstDistribution((0.25, 0.275), (0.5, 0.5))
+        assert (parsed.reps, parsed.methods, parsed.master_seed, parsed.fixed_mix) == (
+            200, ("spectral", "gmm"), 0, False)
+
+    def test_single_scale_custom_spec_with_probs(self, tmp_path):
+        spec = tmp_path / "single.txt"
+        spec.write_text(
+            "family = custom\nmodes = 0.8,0.2;0.3,0.7\nprobs = 0.25,0.75\n"
+            "n = 4096\np = 8\nj = 1\na = 8\nm = 7\nM = 0.4\nmin_cluster = 3\nn_vanishing = 3\n"
+        )
+        parsed = parse_sweep_spec(spec)
+        assert parsed.pipeline == PipelineConfig(n=4096, p=8, a=8, j=1, m=7, grid_max=0.4,
+                                                 min_cluster=3, n_vanishing=3)
+        assert parsed.configs == (
+            ("0.8,0.2", HurstDistribution((0.2, 0.8), (0.25, 0.75))),
+            ("0.3,0.7", HurstDistribution((0.3, 0.7), (0.25, 0.75))),
+        )
 
     def test_custom_family(self, tmp_path):
         spec = tmp_path / "custom.txt"

@@ -76,6 +76,13 @@ class TestDaubechies:
                 assert abs((k**m) @ v) < 1e-8
             assert abs(((k / (len(v) - 1)) ** m) @ v) < 1e-12
 
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_energy_front_loaded(self, order):
+        # keeping the roots inside the unit circle gives minimum phase: at
+        # least half the lowpass energy sits in the first n_vanishing taps
+        u = daubechies(order).lowpass
+        assert u[:order] @ u[:order] >= 0.5 * (u @ u)
+
     def test_unsupported_order(self):
         for bad in (0, 11, 2.5, [2]):  # an unhashable order is a ConfigError, not the cache's TypeError
             with pytest.raises(ConfigError):
