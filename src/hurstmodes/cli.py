@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -30,23 +29,10 @@ SCHEMA = "wrmsm/1"
 __all__ = ["main", "parse_sweep_spec"]
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    # numpy arrays and scalars (np.float64 is already a float) go through
+    # tolist(); a NaN or infinity anywhere is a bug, not an output
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=lambda o: o.tolist()) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -54,18 +40,18 @@ def _dump_json(obj, path: str | None) -> None:
             fh.write(text)
 
 
-# analysis setting -> (type, default, help): estimate takes each as a flag
-# ("_" becomes "-"), spectrum the ones that shape the statistic, a sweep spec
-# as a key of the same name
+# analysis setting -> (type, help): estimate takes each as a flag ("_" becomes
+# "-"), spectrum the ones that shape the statistic, a sweep spec as a key of
+# the same name.  An unset one is None; PipelineConfig owns the defaults.
 _SETTINGS = {
-    "j": (int, None, "single-scale octave (requires --a; default is multiscale)"),
-    "j1": (int, 2, "first octave of the multiscale window"),
-    "j2": (int, 5, "last octave of the multiscale window"),
-    "a": (int, 16, "scale factor (power of two), single-scale mode only"),
-    "n_vanishing": (int, 2, "vanishing moments of the Daubechies wavelet"),
-    "m": (int, 10, "number of grid points for threshold selection"),
-    "M": (str, "auto", "grid upper bound ('auto' or a positive number)"),
-    "min_cluster": (int, 2, "smallest cluster the selection admits"),
+    "j": (int, "single-scale octave, analyzed at scale a 2^j (unset: the multiscale window)"),
+    "j1": (int, "first octave of the multiscale window (default 2)"),
+    "j2": (int, "last octave of the multiscale window (default 5)"),
+    "a": (int, "scale factor (power of two), single-scale mode only"),
+    "n_vanishing": (int, "vanishing moments of the Daubechies wavelet"),
+    "m": (int, "number of grid points for threshold selection"),
+    "M": (str, "grid upper bound ('auto' or a positive number; default auto)"),
+    "min_cluster": (int, "smallest cluster the selection admits"),
 }
 _STATISTIC_SETTINGS = ("j", "j1", "j2", "a", "n_vanishing")
 
@@ -73,8 +59,8 @@ _STATISTIC_SETTINGS = ("j", "j1", "j2", "a", "n_vanishing")
 def _add_analysis_flags(sub: argparse.ArgumentParser, names) -> None:
     sub.add_argument("--input", required=True, help="panel CSV (columns = series, rows = time)")
     for name in names:
-        kind, default, text = _SETTINGS[name]
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=default, help=text)
+        kind, text = _SETTINGS[name]
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, metavar=name, type=kind, help=text)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
     sub.add_argument("--bins", type=int, default=16, help="histogram bins")
@@ -83,16 +69,24 @@ def _add_analysis_flags(sub: argparse.ArgumentParser, names) -> None:
 
 
 def _pipeline_config(settings: dict, n: int = 0, p: int = 0) -> PipelineConfig:
-    """The PipelineConfig of a table of analysis settings (unset ones take
-    their defaults); single-scale when j is set."""
-    s = {name: settings.get(name, default) for name, (_, default, _) in _SETTINGS.items()}
+    """The PipelineConfig of a table of analysis settings, None where unset:
+    single-scale when j is set, the window j1..j2 (2..5 unless given)
+    otherwise.  A setting the mode does not read is an error; PipelineConfig
+    fills in the unset rest."""
+    s = {name: settings.get(name) for name in _SETTINGS}
+    single = s["j"] is not None
+    unread = [name for name in (("j1", "j2") if single else ("a",)) if s[name] is not None]
+    if unread:
+        mode = "single-scale mode (j set)" if single else "multiscale mode (j unset)"
+        raise ConfigError(f"{mode} does not read {', '.join(unread)}")
+    j1, j2, M = s.pop("j1"), s.pop("j2"), s.pop("M")
     try:
-        grid_max = None if s["M"] == "auto" else float(s["M"])
+        grid_max = None if M in (None, "auto") else float(M)
     except ValueError:
-        raise ConfigError(f"M must be positive or 'auto', got {s['M']!r}") from None
-    window = {"multiscale": (s["j1"], s["j2"])} if s["j"] is None else {"a": s["a"], "j": s["j"]}
-    return PipelineConfig(n=n, p=p, m=s["m"], grid_max=grid_max, min_cluster=s["min_cluster"],
-                          n_vanishing=s["n_vanishing"], **window)
+        raise ConfigError(f"M must be positive or 'auto', got {M!r}") from None
+    if not single:
+        s["multiscale"] = (2 if j1 is None else j1, 5 if j2 is None else j2)
+    return PipelineConfig(n=n, p=p, grid_max=grid_max, **{k: v for k, v in s.items() if v is not None})
 
 
 def _analyze_panel(args, affine: str = "h"):
@@ -136,7 +130,7 @@ def cmd_estimate(args) -> int:
             "grid": est.trace.grid,
             "icsd_curve": est.trace.icsd_curve,
             "chosen_index": est.trace.chosen_index,
-            "excluded": [bool(b) for b in est.trace.excluded],
+            "excluded": est.trace.excluded,
         },
         "m": cfg.m,
         "grid_max": grid_max,
@@ -157,14 +151,15 @@ def parse_sweep_spec(path) -> ExperimentSpec:
 
     Recognized keys (one `key = value` per line, '#' comments):
       family    bimodal | custom
-      base      first mode of the bimodal family            (default 0.25)
-      deltas    comma list of mode gaps for bimodal         (e.g. 0,0.05,0.1)
+      base      bimodal only: first mode                    (default 0.25)
+      deltas    bimodal only: comma list of mode gaps       (e.g. 0,0.05,0.1)
       probs     comma list of probabilities                 (default uniform)
-      modes     for custom: semicolon-separated mode lists  (e.g. 0.2,0.5,0.8;0.3,0.6)
+      modes     custom only: semicolon-separated mode lists (e.g. 0.2,0.5,0.8;0.3,0.6)
       n p       panel geometry
       j a j1 j2 m M min_cluster n_vanishing
                 analysis settings, as the estimate flags of the same name
-                (single-scale when j given; j1/j2 then are an error)
+                (single-scale when j given, with j1/j2 an error; multiscale
+                otherwise, with a an error)
       reps seed methods fixed_mix
                 (reps >= 1; methods distinct, non-empty; fixed_mix 1/0/true/false/yes/no)
     """
@@ -198,13 +193,8 @@ def parse_sweep_spec(path) -> ExperimentSpec:
         raw = kv.pop(key, None)
         return default if raw is None else convert(key, raw, kind)
 
-    window = [key for key in ("j1", "j2") if key in kv]
-    if "j" in kv and window:
-        raise ConfigError(f"sweep spec key 'j' (single-scale) conflicts with {', '.join(window)} "
-                          "(multiscale window); set one or the other")
-    settings = {name: get(name, default, kind) for name, (kind, default, _) in _SETTINGS.items()}
+    settings = {name: get(name, kind=kind) for name, (kind, _) in _SETTINGS.items()}
     family = get("family", "bimodal")
-    base = get("base", 0.25, float)
     probs = get("probs")
     probs = convert("probs", probs, floats) if probs else None
     reps = get("reps", 200, int)
@@ -216,8 +206,8 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     if family == "bimodal":
         deltas = get("deltas", (0.0, 0.025, 0.05, 0.075, 0.1), floats)
         spec = ExperimentSpec.bimodal_sweep(
-            deltas, base=base, probs=probs or (0.5, 0.5), pipeline=pipeline, reps=reps,
-            methods=methods, master_seed=seed, fixed_mix=fixed_mix,
+            deltas, base=get("base", 0.25, float), probs=probs or (0.5, 0.5), pipeline=pipeline,
+            reps=reps, methods=methods, master_seed=seed, fixed_mix=fixed_mix,
         )
     elif family == "custom":
         modes_field = get("modes")
@@ -236,18 +226,14 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     else:
         raise ConfigError(f"unknown family {family!r}")
 
-    kv.pop("deltas", None)
-    kv.pop("modes", None)
     if kv:
-        raise ConfigError(f"unrecognized sweep spec keys: {', '.join(sorted(kv))}")
+        raise ConfigError(f"unrecognized sweep spec keys for family {family!r}: {', '.join(sorted(kv))}")
     return spec
 
 
 def _write_sweep_csv(rows, path) -> None:
     def fmt(v):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            return ""
-        return repr(v) if isinstance(v, float) else str(v)
+        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -236,7 +236,7 @@ def run_sweep(spec: ExperimentSpec) -> SweepResult:
                 "reps": spec.reps,
                 "reps_used": used,
                 "failures": failures,
-                "proportion_correct": (len(correct) / used) if used else float("nan"),
+                "proportion_correct": (len(correct) / used) if used else None,
                 "mean_epsilon_ms": _mean([r.epsilon_ms for r in recs if r.epsilon_ms is not None]),
                 "mode_rmse": _rmse([r.mode_err for r in correct]),
                 "prob_rmse": _rmse([r.prob_err for r in correct]),

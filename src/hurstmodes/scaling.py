@@ -69,9 +69,7 @@ def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletR
     for lo in range(0, n_j, _CHUNK):
         block = d[:, lo : lo + _CHUNK]
         acc += (block @ block.T).astype(np.longdouble)
-    w = (acc / n_j).astype(float)
-    w = 0.5 * (w + w.T)
-    return WaveletRandomMatrix(w, octave, n_j)
+    return WaveletRandomMatrix((acc / n_j).astype(float), octave, n_j)
 
 
 def log_eigen(wrm: WaveletRandomMatrix, a: int) -> np.ndarray:

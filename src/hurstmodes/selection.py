@@ -97,12 +97,8 @@ def select_scheme(
         )
         excluded = np.zeros(len(grid), dtype=bool)
 
-    chosen = -1
-    for k in range(m):
-        if excluded[k]:
-            continue
-        if chosen < 0 or curve[k] < curve[chosen]:
-            chosen = k
+    # argmin returns the first minimum: ties go to the smaller epsilon
+    chosen = int(np.argmin(np.where(excluded, np.inf, curve)))
     best = schemes[chosen]
 
     trace = SelectionTrace(

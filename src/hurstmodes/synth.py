@@ -184,8 +184,9 @@ def fbm_covariance(H: float, n: int) -> np.ndarray:
 # the transform of the embedded autocovariance is deterministic and reused
 # across paths for the same mode; callers must not write to the weights
 @lru_cache(maxsize=64)
-def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray | None:
-    """Half-spectrum weights of the circulant embedding, or None if not PSD.
+def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray:
+    """Half-spectrum weights of the circulant embedding; ConfigError if it is
+    not PSD (lru_cache does not cache the error).
 
     The symmetric length-2n circulant row has n+1 distinct eigenvalues, at
     frequencies 0..n.  The weights are their square roots scaled by
@@ -194,7 +195,7 @@ def _embedding_sqrt_eigs(H: float, n: int) -> np.ndarray | None:
     """
     lam = np.fft.hfft(fgn_autocovariance(H, n + 1), 2 * n)[: n + 1]
     if lam.min() < -1e-9 * lam.max():
-        return None
+        raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
     out = np.sqrt(np.clip(lam, 0.0, None)) / (2.0 * np.sqrt(n))
     out[[0, n]] *= np.sqrt(2.0)
     return out
@@ -227,14 +228,6 @@ def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(cov) @ z[:n]
 
 
-def _psd_weights(H: float, n: int) -> np.ndarray:
-    """Half-spectrum weights for (H, n); ConfigError when the embedding is not PSD."""
-    weights = _embedding_sqrt_eigs(H, n)
-    if weights is None:
-        raise ConfigError(f"circulant embedding not PSD for H={H}, n={n}")
-    return weights
-
-
 def _path(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
     """One fBm path from 2n normals of rng: the body shared by fbm_path and gen_panel's rows."""
     return np.cumsum(_fgn_from_noise(rng.standard_normal(2 * n), weights, n))
@@ -248,7 +241,7 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
         raise DomainError(f"need n >= 1, got {n}")
     if rng is None:
         rng = subseed(0 if seed is None else seed, 2, 0)
-    return _path(rng, _psd_weights(H, n), n)
+    return _path(rng, _embedding_sqrt_eigs(H, n), n)
 
 
 def _row_workers(p: int) -> int:
@@ -278,7 +271,7 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
     weights = {}
     for H in h:
         if H not in weights:
-            weights[H] = _psd_weights(H, n)
+            weights[H] = _embedding_sqrt_eigs(H, n)
     x = np.empty((p, n))
 
     def fill(i: int) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -413,6 +414,29 @@ class TestCliEstimate:
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"), flag, "0"]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
+    # one rule for flags and spec keys: a setting the mode does not read is
+    # an error, found before the CSV is read
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--j", "1", "--a", "16", "--j1", "3", "--j2", "4"],
+         "single-scale mode (j set) does not read j1, j2"),
+        (["estimate", "--a", "12"], "multiscale mode (j unset) does not read a"),
+        (["spectrum", "--a", "8"], "multiscale mode (j unset) does not read a"),
+    ])
+    def test_unread_setting_exit_2_before_reading(self, fbm_csv, monkeypatch, capsys, argv, message):
+        read = []
+        monkeypatch.setattr(cli, "read_panel_csv", lambda *args, **kwargs: read.append(args))
+        assert main([*argv, "--input", str(fbm_csv)]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": message}
+        assert read == []
+
+    def test_usage_tells_grid_size_from_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["estimate", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert "[--m m]" in usage and "[--M M]" in usage
+        metavars = re.findall(r"\[--[\w-]+ (\S+?)\]", usage)
+        assert len(metavars) == 12 and len(set(metavars)) == len(metavars)
+
 
 class TestCliSpectrum:
     def test_histogram_counts_sum_to_p(self, fbm_csv, tmp_path):
@@ -512,7 +536,11 @@ class TestCliSweep:
         ("family = trimodal\n", "unknown family 'trimodal'"),
         ("M = bogus\n", "M must be positive or 'auto', got 'bogus'"),
         ("a = x\n", "sweep spec key 'a': cannot read 'x' as int"),
-        ("j = 1\nj1 = 3\nj2 = 4\n", "sweep spec key 'j' (single-scale) conflicts with j1, j2 (multiscale window)"),
+        ("j = 1\nj1 = 3\nj2 = 4\n", "single-scale mode (j set) does not read j1, j2"),
+        ("a = 16\n", "multiscale mode (j unset) does not read a"),
+        ("family = custom\nmodes = 0.2,0.8\ndeltas = 0,0.1\n", "keys for family 'custom': deltas"),
+        ("family = custom\nmodes = 0.2,0.8\nbase = 0.3\n", "keys for family 'custom': base"),
+        ("family = bimodal\nmodes = 0.2,0.8\n", "keys for family 'bimodal': modes"),
         ("methods = gmm,spectral,gmm\n", "methods must not repeat, got ('gmm', 'spectral', 'gmm')"),
     ])
     def test_rejection_named(self, tmp_path, monkeypatch, capsys, text, message):

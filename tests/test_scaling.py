@@ -16,6 +16,7 @@ from hurstmodes import (
     wavelet_random_matrix,
 )
 from hurstmodes.harness import log_eigen_set
+from hurstmodes.scaling import _CHUNK
 from hurstmodes.wavelet import WaveletDecomposition
 
 from test_wavelet import reference_pyramid
@@ -53,7 +54,8 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
 class TestWaveletRandomMatrix:
     def test_single_vector_rank_one(self):
         d = np.array([[1.0], [2.0], [-1.0]])
-        w = wavelet_random_matrix(fake_decomposition({3: d}), 3)
+        with pytest.warns(RuntimeWarning, match="effective sample size"):
+            w = wavelet_random_matrix(fake_decomposition({3: d}), 3)
         assert w.effective_count == 1
         assert np.allclose(w.matrix, d @ d.T)
         assert np.linalg.matrix_rank(w.matrix) == 1
@@ -63,12 +65,14 @@ class TestWaveletRandomMatrix:
         w = wavelet_random_matrix(fake_decomposition({1: d}), 1)
         assert np.max(np.abs(w.matrix - np.eye(4))) < 0.05
 
-    def test_symmetric_psd_on_panels(self):
+    def test_symmetric_psd_on_panels(self, rng):
+        # each partial Gram is exactly symmetric, so the sum is too; the
+        # wide octave has a partial last chunk
         panel, _ = gen_panel(HurstDistribution.point(0.4), 8, 2048, seed=3)
         decomp = decompose(panel, daubechies(2), 3)
-        for j in (1, 2, 3):
-            w = wavelet_random_matrix(decomp, j)
-            assert np.max(np.abs(w.matrix - w.matrix.T)) < 1e-12
+        wide = fake_decomposition({1: rng.standard_normal((64, 2 * _CHUNK + 123))})
+        for w in [wavelet_random_matrix(decomp, j) for j in (1, 2, 3)] + [wavelet_random_matrix(wide, 1)]:
+            assert np.array_equal(w.matrix, w.matrix.T)
             lam = np.linalg.eigvalsh(w.matrix)
             assert lam[0] >= -1e-10 * np.trace(w.matrix)
 

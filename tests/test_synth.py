@@ -28,6 +28,16 @@ from hurstmodes.synth import (
 )
 
 
+def make_indefinite(monkeypatch, bad_h):
+    """Give mode bad_h the autocovariance (0, 1, 0, ...), whose circulant
+    embedding has eigenvalues 2 cos(pi k / n), and drop the cached weights
+    so the embedding is really computed from it."""
+    real = synth.fgn_autocovariance
+    monkeypatch.setattr(synth, "fgn_autocovariance",
+                        lambda H, n: np.eye(1, n, 1)[0] if H == bad_h else real(H, n))
+    synth._embedding_sqrt_eigs.cache_clear()
+
+
 class TestHurstDistribution:
     def test_point_mass(self):
         d = HurstDistribution.point(0.5)
@@ -89,7 +99,6 @@ class TestFbmPath:
         # column by column and compare its Gram with the target covariance
         n, H = 48, 0.7
         sqrt_lam = _embedding_sqrt_eigs(H, n)
-        assert sqrt_lam is not None
         cols = [_fgn_from_noise(e, sqrt_lam, n) for e in np.eye(2 * n)]
         t = np.column_stack(cols)
         gamma = fgn_autocovariance(H, n)
@@ -119,11 +128,11 @@ class TestFbmPath:
     @pytest.mark.parametrize("H,n", [(0.996, 2**18), (0.999, 2**18), (0.999999, 2**16)])
     def test_embedding_psd_near_one(self, H, n):
         # near H=1, rounding in a directly formed second difference of the
-        # autocovariance turns these embeddings indefinite
-        assert _embedding_sqrt_eigs(H, n) is not None
+        # autocovariance turns these embeddings indefinite, which raises
+        _embedding_sqrt_eigs(H, n)
 
     def test_non_psd_embedding_raises_without_dense_fallback(self, monkeypatch):
-        monkeypatch.setattr(synth, "_embedding_sqrt_eigs", lambda H, n: None)
+        make_indefinite(monkeypatch, 0.7)
         monkeypatch.setattr(synth, "_fgn_cholesky",
                             lambda H, n, z: pytest.fail("built the n x n covariance"))
         with pytest.raises(ConfigError, match="not PSD"):
@@ -344,8 +353,9 @@ class TestRowPool:
 
         def eigs(H, n):
             asked.append(H)
-            return None if H == bad else real(H, n)
+            return real(H, n)
 
+        make_indefinite(monkeypatch, bad)
         monkeypatch.setattr(synth, "_embedding_sqrt_eigs", eigs)
         with pytest.raises(ConfigError) as serial:
             for i in range(p):
