@@ -149,7 +149,7 @@ def cmd_spectrum(args) -> int:
 def parse_sweep_spec(path) -> ExperimentSpec:
     """Flat key-value sweep description -> ExperimentSpec.
 
-    Recognized keys (one `key = value` per line, '#' comments):
+    Recognized keys (one `key = value` per line, each key once, '#' comments):
       family    bimodal | custom
       base      bimodal only: first mode                    (default 0.25)
       deltas    bimodal only: comma list of mode gaps       (e.g. 0,0.05,0.1)
@@ -164,6 +164,7 @@ def parse_sweep_spec(path) -> ExperimentSpec:
                 (reps >= 1; methods distinct, non-empty; fixed_mix 1/0/true/false/yes/no)
     """
     kv: dict[str, str] = {}
+    seen_at: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -171,8 +172,11 @@ def parse_sweep_spec(path) -> ExperimentSpec:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()  # keys are case-sensitive: m vs M
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key in seen_at:
+                raise ConfigError(f"sweep spec key {key!r} repeated at lines {seen_at[key]} and {lineno}")
+            seen_at[key] = lineno
+            kv[key] = value  # keys are case-sensitive: m vs M
 
     def floats(text):
         return tuple(float(s) for s in text.split(","))

@@ -27,8 +27,6 @@ __all__ = [
     "wavelet_random_matrix",
 ]
 
-_CHUNK = 4096  # columns per partial Gram before long-double accumulation
-
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class WaveletRandomMatrix:
@@ -52,11 +50,7 @@ class WaveletRandomMatrix:
 
 
 def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletRandomMatrix:
-    """Second-moment matrix of the border-free detail vectors at an octave.
-
-    Accumulates column-chunked partial Grams in extended precision; the log
-    of small eigenvalues downstream amplifies any accumulation error.
-    """
+    """Second-moment matrix of the border-free detail vectors at an octave."""
     d = decomp.require_octave(octave)
     p, n_j = d.shape
     if p > n_j:
@@ -65,11 +59,8 @@ def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletR
             "the matrix is rank deficient and log-eigenvalues will be degenerate",
             RuntimeWarning,
         )
-    acc = np.zeros((p, p), dtype=np.longdouble)
-    for lo in range(0, n_j, _CHUNK):
-        block = d[:, lo : lo + _CHUNK]
-        acc += (block @ block.T).astype(np.longdouble)
-    return WaveletRandomMatrix((acc / n_j).astype(float), octave, n_j)
+    # numpy sends d @ d.T to syrk, which mirrors one triangle: exactly symmetric
+    return WaveletRandomMatrix(d @ d.T / n_j, octave, n_j)
 
 
 def log_eigen(wrm: WaveletRandomMatrix, a: int) -> np.ndarray:

@@ -228,9 +228,10 @@ def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(cov) @ z[:n]
 
 
-def _path(rng: np.random.Generator, weights: np.ndarray, n: int) -> np.ndarray:
-    """One fBm path from 2n normals of rng: the body shared by fbm_path and gen_panel's rows."""
-    return np.cumsum(_fgn_from_noise(rng.standard_normal(2 * n), weights, n))
+def _path(rng: np.random.Generator, weights: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """One fBm path from 2n normals of rng, written into out (length n): the
+    body shared by fbm_path and gen_panel's rows."""
+    return np.cumsum(_fgn_from_noise(rng.standard_normal(2 * n), weights, n), out=out)
 
 
 def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -241,7 +242,7 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
         raise DomainError(f"need n >= 1, got {n}")
     if rng is None:
         rng = subseed(0 if seed is None else seed, 2, 0)
-    return _path(rng, _embedding_sqrt_eigs(H, n), n)
+    return _path(rng, _embedding_sqrt_eigs(H, n), n, np.empty(n))
 
 
 def _row_workers(p: int) -> int:
@@ -275,7 +276,7 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
     x = np.empty((p, n))
 
     def fill(i: int) -> None:
-        x[i] = _path(subseed(seed, 2, i), weights[h[i]], n)
+        _path(subseed(seed, 2, i), weights[h[i]], n, x[i])
 
     workers = _row_workers(p)
     if workers == 1:

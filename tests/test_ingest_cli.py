@@ -521,7 +521,8 @@ class TestCliSweep:
     @pytest.mark.parametrize("line", ["M = 0", "workers = 2", "n = x", "M = bogus", "deltas = 0,a",
                                       "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm",
                                       "reps = -3", "methods = ,", "fixed_mix = ture", "a = x",
-                                      "j = 1\nj1 = 3", "j = 1\nj2 = 5", "methods = spectral,spectral"])
+                                      "j = 1\nj1 = 3", "j = 1\nj2 = 5", "methods = spectral,spectral",
+                                      "n = 2048\nn = 4096"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)
@@ -542,6 +543,8 @@ class TestCliSweep:
         ("family = custom\nmodes = 0.2,0.8\nbase = 0.3\n", "keys for family 'custom': base"),
         ("family = bimodal\nmodes = 0.2,0.8\n", "keys for family 'bimodal': modes"),
         ("methods = gmm,spectral,gmm\n", "methods must not repeat, got ('gmm', 'spectral', 'gmm')"),
+        ("family = bimodal\nn = 2048\np = 8\n\n# again\nn = 4096\n",
+         "sweep spec key 'n' repeated at lines 2 and 6"),
     ])
     def test_rejection_named(self, tmp_path, monkeypatch, capsys, text, message):
         ran = []

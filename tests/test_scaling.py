@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from hurstmodes import (
     wavelet_random_matrix,
 )
 from hurstmodes.harness import log_eigen_set
-from hurstmodes.scaling import _CHUNK
 from hurstmodes.wavelet import WaveletDecomposition
 
 from test_wavelet import reference_pyramid
@@ -34,6 +35,22 @@ def diagonal_details(eigenvalues, n_j: int) -> np.ndarray:
     for i, lam in enumerate(eigenvalues):
         d[i, i] = np.sqrt(lam * n_j)
     return d
+
+
+def exact_gram(d: np.ndarray) -> np.ndarray:
+    """(1/n) d d^T with each entry's sum exactly rounded: every value is
+    split into 26-bit halves (Veltkamp), so the four half products are
+    exact doubles, and math.fsum rounds their sum once."""
+    c = 134217729.0 * d  # 2^27 + 1
+    hi = c - (c - d)
+    lo = d - hi
+    p, n = d.shape
+    g = np.empty((p, p))
+    for i in range(p):
+        for j in range(i + 1):
+            terms = np.concatenate([hi[i] * hi[j], hi[i] * lo[j], lo[i] * hi[j], lo[i] * lo[j]])
+            g[i, j] = g[j, i] = math.fsum(terms.tolist()) / n
+    return g
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -66,15 +83,25 @@ class TestWaveletRandomMatrix:
         assert np.max(np.abs(w.matrix - np.eye(4))) < 0.05
 
     def test_symmetric_psd_on_panels(self, rng):
-        # each partial Gram is exactly symmetric, so the sum is too; the
-        # wide octave has a partial last chunk
+        # syrk mirrors one triangle, so the matrix is exactly symmetric
         panel, _ = gen_panel(HurstDistribution.point(0.4), 8, 2048, seed=3)
         decomp = decompose(panel, daubechies(2), 3)
-        wide = fake_decomposition({1: rng.standard_normal((64, 2 * _CHUNK + 123))})
+        wide = fake_decomposition({1: rng.standard_normal((64, 2 * 4096 + 123))})
         for w in [wavelet_random_matrix(decomp, j) for j in (1, 2, 3)] + [wavelet_random_matrix(wide, 1)]:
             assert np.array_equal(w.matrix, w.matrix.T)
             lam = np.linalg.eigvalsh(w.matrix)
             assert lam[0] >= -1e-10 * np.trace(w.matrix)
+
+    @pytest.mark.parametrize("p, n_j", [(8, 4096 + 1), (16, 3 * 4096 + 123)])
+    def test_within_ulps_of_exact_gram(self, rng, p, n_j):
+        # ill-conditioned rows (Gram condition number ~6.5e9); BLAS's blocked
+        # sums stay within c = 4 ulps of max|G|, where a single running sum
+        # per entry is 9-18 ulps off at these widths
+        q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        d = np.ascontiguousarray((q * np.logspace(0, -4.9, p)) @ rng.standard_normal((p, n_j)))
+        g = wavelet_random_matrix(fake_decomposition({1: d}), 1).matrix
+        g_exact = exact_gram(d)
+        assert np.max(np.abs(g - g_exact)) <= 4 * np.finfo(float).eps * np.max(np.abs(g_exact))
 
     def test_warns_when_p_exceeds_count(self):
         d = np.ones((4, 2))
