@@ -155,13 +155,14 @@ def parse_sweep_spec(path) -> ExperimentSpec:
       deltas    bimodal only: comma list of mode gaps       (e.g. 0,0.05,0.1)
       probs     comma list of probabilities                 (default uniform)
       modes     custom only: semicolon-separated mode lists (e.g. 0.2,0.5,0.8;0.3,0.6)
-      n p       panel geometry
+      n p       panel geometry (p >= 2)
       j a j1 j2 m M min_cluster n_vanishing
                 analysis settings, as the estimate flags of the same name
                 (single-scale when j given, with j1/j2 an error; multiscale
                 otherwise, with a an error)
-      reps seed methods fixed_mix
-                (reps >= 1; methods distinct, non-empty; fixed_mix 1/0/true/false/yes/no)
+      reps seed methods
+                (reps >= 1; methods distinct, non-empty)
+    Any other key is a configuration error.
     """
     kv: dict[str, str] = {}
     seen_at: dict[str, int] = {}
@@ -181,12 +182,6 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     def floats(text):
         return tuple(float(s) for s in text.split(","))
 
-    def boolean(text):
-        value = text.lower()
-        if value not in ("1", "0", "true", "false", "yes", "no"):
-            raise ValueError(text)
-        return value in ("1", "true", "yes")
-
     def convert(key, raw, kind):
         try:
             return kind(raw)
@@ -204,14 +199,13 @@ def parse_sweep_spec(path) -> ExperimentSpec:
     reps = get("reps", 200, int)
     seed = get("seed", 0, int)
     methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
-    fixed_mix = get("fixed_mix", False, boolean)
     pipeline = _pipeline_config(settings, n=get("n", 16384, int), p=get("p", 64, int))
 
     if family == "bimodal":
         deltas = get("deltas", (0.0, 0.025, 0.05, 0.075, 0.1), floats)
         spec = ExperimentSpec.bimodal_sweep(
             deltas, base=get("base", 0.25, float), probs=probs or (0.5, 0.5), pipeline=pipeline,
-            reps=reps, methods=methods, master_seed=seed, fixed_mix=fixed_mix,
+            reps=reps, methods=methods, master_seed=seed,
         )
     elif family == "custom":
         modes_field = get("modes")
@@ -226,7 +220,7 @@ def parse_sweep_spec(path) -> ExperimentSpec:
                 dist = HurstDistribution.uniform(modes)
             configs.append((chunk.strip(), dist))
         spec = ExperimentSpec(configs=tuple(configs), pipeline=pipeline, reps=reps,
-                              methods=methods, master_seed=seed, fixed_mix=fixed_mix)
+                              methods=methods, master_seed=seed)
     else:
         raise ConfigError(f"unknown family {family!r}")
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, DegenerateSpectrumError
 from .gmm import select_gmm
 from .scaling import heuristic_m, log_eigen, log_eigen_multiscale, wavelet_random_matrix
 from .selection import EstimationResult, select_scheme
-from .synth import HurstDistribution, MixingMatrix, gen_panel, subseed
+from .synth import HurstDistribution, gen_panel, subseed
 from .wavelet import daubechies, decompose
 
 __all__ = [
@@ -39,9 +39,8 @@ class PipelineConfig:
 
     Single-scale mode analyzes the matrix at octave j + log2(a) and rescales
     by a; multiscale mode regresses across octaves j1..j2.  grid_max None
-    means the data-driven choice (fixed-octave heuristic when single-scale,
-    statistic spread when multiscale); otherwise it must be finite and
-    positive.
+    means the data-driven bound log_eigen_set resolves; otherwise it must be
+    finite and positive.
     """
 
     n: int = 0  # panel geometry; 0 when the panel comes from elsewhere (CLI)
@@ -84,8 +83,9 @@ def log_eigen_set(panel, config: PipelineConfig):
     Only the octaves the statistic reads are kept, as contiguous arrays:
     j1..j2 for the multiscale statistic, the analysis octave j + log2 a
     otherwise.  M is config.grid_max when set, otherwise the data-driven
-    bound; None on a flat spectrum, where select_scheme falls back to its
-    own spread rule.
+    bound: heuristic_m single-scale, the spread of the statistics
+    multiscale, and 1e-8 on a flat spectrum, where any grid yields one
+    cluster.  M is always finite and positive.
     """
     bank = daubechies(config.n_vanishing)
     if config.multiscale is not None:
@@ -99,7 +99,7 @@ def log_eigen_set(panel, config: PipelineConfig):
         auto_m = heuristic_m(wrm, config.a)
     if config.grid_max is not None:
         return h_set, config.grid_max
-    return h_set, (auto_m if auto_m > 0.0 else None)
+    return h_set, (auto_m if auto_m > 0.0 else 1e-8)
 
 
 def run_pipeline(panel, config: PipelineConfig, seed: int = 0) -> EstimationResult:
@@ -145,7 +145,6 @@ class ExperimentSpec:
     reps: int = 200
     methods: tuple[str, ...] = ("spectral", "gmm")
     master_seed: int = 0
-    fixed_mix: bool = False  # one mixing matrix for all reps instead of redrawing
 
     def __post_init__(self):
         if self.reps < 1:
@@ -158,6 +157,8 @@ class ExperimentSpec:
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"methods must not repeat, got {self.methods}")
         cfg = self.pipeline
+        if cfg.p < 2:
+            raise ConfigError(f"panel dimension p must be >= 2, got {cfg.p}")
         scale = 2**cfg.total_octave
         if cfg.p >= cfg.n / scale:
             warnings.warn(
@@ -183,9 +184,7 @@ def run_rep(spec: ExperimentSpec, config_index: int, rep_index: int) -> dict:
     label, dist = spec.configs[config_index]
     cfg = spec.pipeline
     rep_seed = int(subseed(spec.master_seed, 5, config_index, rep_index).integers(2**63))
-    mix_seed = spec.master_seed if spec.fixed_mix else rep_seed
-    mix = MixingMatrix.haar(cfg.p, mix_seed)
-    panel, _true_h = gen_panel(dist, cfg.p, cfg.n, mix=mix, seed=rep_seed)
+    panel, _true_h = gen_panel(dist, cfg.p, cfg.n, seed=rep_seed)
 
     records: list[RepRecord] = []
     failure = None

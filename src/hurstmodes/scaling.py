@@ -10,7 +10,6 @@ analyses should prefer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,14 +49,14 @@ class WaveletRandomMatrix:
 
 
 def wavelet_random_matrix(decomp: WaveletDecomposition, octave: int) -> WaveletRandomMatrix:
-    """Second-moment matrix of the border-free detail vectors at an octave."""
+    """Second-moment matrix of the border-free detail vectors at an octave.
+    Raises DegenerateSpectrumError, before forming it, when p exceeds n_j."""
     d = decomp.require_octave(octave)
     p, n_j = d.shape
     if p > n_j:
-        warnings.warn(
-            f"p={p} exceeds the effective sample size n_j={n_j} at octave {octave}; "
-            "the matrix is rank deficient and log-eigenvalues will be degenerate",
-            RuntimeWarning,
+        raise DegenerateSpectrumError(
+            f"p={p} exceeds the effective sample size n_j={n_j} at octave {octave}: "
+            "the matrix is rank deficient"
         )
     # numpy sends d @ d.T to syrk, which mirrors one triangle: exactly symmetric
     return WaveletRandomMatrix(d @ d.T / n_j, octave, n_j)

@@ -9,6 +9,7 @@ trace for diagnostics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,18 +56,16 @@ def _epsilon_seed(seed: int, k: int, m: int) -> int:
 
 def select_scheme(
     h_set: np.ndarray,
+    grid_max: float,
     m: int = 10,
-    grid_max: float | None = None,
     seed: int = 0,
     min_cluster: int = 2,
 ) -> EstimationResult:
     """Estimate the Hurst distribution by ICSD-minimizing precision selection.
 
-    grid_max is the upper end M of the grid; None derives it from the data
-    as the spread of the statistics (an upper bound for any threshold that
-    still separates points).  Pipelines pass the bound that
-    harness.log_eigen_set resolves.  Ties in the ICSD resolve toward the
-    smaller epsilon.
+    grid_max is the upper end M of the grid, finite and positive; pipelines
+    pass the bound that harness.log_eigen_set resolves.  Ties in the ICSD
+    resolve toward the smaller epsilon.
     """
     values = np.asarray(h_set, dtype=float)
     if len(values) < 2:
@@ -75,12 +74,8 @@ def select_scheme(
         raise ConfigError(f"grid size m must be >= 1, got {m}")
     if min_cluster < 1:
         raise ConfigError(f"min_cluster must be >= 1, got {min_cluster}")
-    if grid_max is None:
-        grid_max = float(values.max() - values.min())
-        if grid_max <= 0.0:
-            grid_max = 1e-8  # all statistics identical; any grid yields one cluster
-    if not grid_max > 0.0:
-        raise ConfigError(f"grid_max must be positive, got {grid_max}")
+    if not (math.isfinite(grid_max) and grid_max > 0.0):
+        raise ConfigError(f"grid_max must be finite and positive, got {grid_max}")
 
     grid = grid_max * np.arange(1, m + 1) / m
     schemes = []

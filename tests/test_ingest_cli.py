@@ -400,9 +400,19 @@ class TestCliEstimate:
         # more series than coarse-octave coefficients: degenerate spectrum
         path = tmp_path / "wide.csv"
         write_panel_csv(path, np.cumsum(rng.standard_normal((24, 680)), axis=1))
-        with pytest.warns(RuntimeWarning):
-            code = main(["estimate", "--input", str(path), "--j1", "2", "--j2", "5"])
+        code = main(["estimate", "--input", str(path), "--j1", "2", "--j2", "5"])
         assert code == 4
+
+    def test_rank_deficient_positive_spectrum_exit_4(self, tmp_path, capsys):
+        # 10 series against n_j = 8 coefficients at octave 4 (j = 1, a = 8):
+        # this panel's rounded spectrum is positive, so only the p > n_j
+        # check keeps it from printing statistics near -8.8 with exit 0
+        path = tmp_path / "wide.csv"
+        write_panel_csv(path, np.cumsum(np.random.default_rng(5).standard_normal((10, 200)), axis=1))
+        assert main(["estimate", "--input", str(path), "--j", "1", "--a", "8"]) == 4
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "degenerate-spectrum"
+        assert "p=10 exceeds the effective sample size n_j=8 at octave 4" in err["message"]
 
     def test_bad_m_exit_2(self, fbm_csv):
         assert main(["estimate", "--input", str(fbm_csv), "--M", "-1"]) == 2
@@ -522,7 +532,7 @@ class TestCliSweep:
                                       "reps = 1.5", "m = 0\nmin_cluster = -3\nmethods = gmm",
                                       "reps = -3", "methods = ,", "fixed_mix = ture", "a = x",
                                       "j = 1\nj1 = 3", "j = 1\nj2 = 5", "methods = spectral,spectral",
-                                      "n = 2048\nn = 4096"])
+                                      "n = 2048\nn = 4096", "p = 0", "p = 1"])
     def test_rejected_before_running(self, tmp_path, monkeypatch, line):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)
@@ -543,6 +553,8 @@ class TestCliSweep:
         ("family = custom\nmodes = 0.2,0.8\nbase = 0.3\n", "keys for family 'custom': base"),
         ("family = bimodal\nmodes = 0.2,0.8\n", "keys for family 'bimodal': modes"),
         ("methods = gmm,spectral,gmm\n", "methods must not repeat, got ('gmm', 'spectral', 'gmm')"),
+        ("p = 1\n", "panel dimension p must be >= 2, got 1"),
+        ("fixed_mix = true\n", "unrecognized sweep spec keys for family 'bimodal': fixed_mix"),
         ("family = bimodal\nn = 2048\np = 8\n\n# again\nn = 4096\n",
          "sweep spec key 'n' repeated at lines 2 and 6"),
     ])
@@ -563,8 +575,7 @@ class TestCliSweep:
         assert [label for label, _ in parsed.configs] == [
             "delta=0", "delta=0.025", "delta=0.05", "delta=0.075", "delta=0.1"]
         assert parsed.configs[1][1] == HurstDistribution((0.25, 0.275), (0.5, 0.5))
-        assert (parsed.reps, parsed.methods, parsed.master_seed, parsed.fixed_mix) == (
-            200, ("spectral", "gmm"), 0, False)
+        assert (parsed.reps, parsed.methods, parsed.master_seed) == (200, ("spectral", "gmm"), 0)
 
     def test_single_scale_custom_spec_with_probs(self, tmp_path):
         spec = tmp_path / "single.txt"

@@ -70,11 +70,11 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 class TestWaveletRandomMatrix:
     def test_single_vector_rank_one(self):
-        d = np.array([[1.0], [2.0], [-1.0]])
-        with pytest.warns(RuntimeWarning, match="effective sample size"):
-            w = wavelet_random_matrix(fake_decomposition({3: d}), 3)
-        assert w.effective_count == 1
-        assert np.allclose(w.matrix, d @ d.T)
+        # every detail vector a multiple of one vector: p = n_j, rank one
+        d = np.outer([1.0, 2.0, -1.0], [1.0, -1.0, 0.5])
+        w = wavelet_random_matrix(fake_decomposition({3: d}), 3)
+        assert w.effective_count == 3
+        assert np.allclose(w.matrix, d @ d.T / 3)
         assert np.linalg.matrix_rank(w.matrix) == 1
 
     def test_iid_normal_details_near_identity(self, rng):
@@ -103,9 +103,10 @@ class TestWaveletRandomMatrix:
         g_exact = exact_gram(d)
         assert np.max(np.abs(g - g_exact)) <= 4 * np.finfo(float).eps * np.max(np.abs(g_exact))
 
-    def test_warns_when_p_exceeds_count(self):
+    def test_raises_when_p_exceeds_count(self):
         d = np.ones((4, 2))
-        with pytest.warns(RuntimeWarning, match="effective sample size"):
+        with pytest.raises(DegenerateSpectrumError,
+                           match="p=4 exceeds the effective sample size n_j=2 at octave 1"):
             wavelet_random_matrix(fake_decomposition({1: d}), 1)
 
     def test_missing_octave(self):

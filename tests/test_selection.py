@@ -86,18 +86,15 @@ class TestSelectScheme:
             select_scheme(two_groups, m=0, grid_max=1.0)
         with pytest.raises(ConfigError):
             select_scheme(two_groups, m=5, grid_max=-1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            select_scheme(two_groups, m=5, grid_max=float("inf"))
         with pytest.raises(ConfigError):
             select_scheme(two_groups, m=5, grid_max=1.0, min_cluster=0)
         with pytest.raises(DomainError):
             select_scheme(np.array([0.5]), m=5, grid_max=1.0)
 
-    def test_auto_grid_max_uses_spread(self, two_groups):
-        est = select_scheme(two_groups, m=10, seed=0)
-        spread = two_groups.max() - two_groups.min()
-        assert est.trace.grid[-1] == pytest.approx(spread)
-
     def test_identical_values_single_cluster(self):
-        est = select_scheme(np.full(8, 0.3), m=5, seed=0)
+        est = select_scheme(np.full(8, 0.3), m=5, grid_max=1e-8, seed=0)
         assert est.r_hat == 1
         assert est.icsd == 0.0
 
@@ -116,8 +113,9 @@ class TestSelectScheme:
         k = min(max(round(split * p), 1), p - 1)
         values = np.r_[rng.normal(centers[0], spreads[0], k), rng.normal(centers[1], spreads[1], p - k)]
         perm = rng.permutation(p)
-        a = select_scheme(values, m=10, seed=seed)
-        b = select_scheme(values[perm], m=10, seed=seed)
+        spread = float(values.max() - values.min())
+        a = select_scheme(values, m=10, grid_max=spread, seed=seed)
+        b = select_scheme(values[perm], m=10, grid_max=spread, seed=seed)
         assert b.r_hat == a.r_hat
         assert np.array_equal(b.modes, a.modes)
         assert np.array_equal(b.probs, a.probs)
@@ -143,8 +141,12 @@ class TestSelectScheme:
         unit = 2.0**-20
         values = np.array([centers[i % len(centers)] + o for i, o in offsets]) * unit
         c = shift * unit
-        a = select_scheme(values, m=m, seed=seed)
-        b = select_scheme(values + c, m=m, seed=seed)
+
+        def spread(v):  # one grid unit when every value is equal
+            return float(v.max() - v.min()) or unit
+
+        a = select_scheme(values, m=m, grid_max=spread(values), seed=seed)
+        b = select_scheme(values + c, m=m, grid_max=spread(values + c), seed=seed)
         assert np.array_equal(b.trace.grid, a.trace.grid)
         assert b.epsilon_ms == a.epsilon_ms
         assert np.array_equal(b.trace.excluded, a.trace.excluded)
