@@ -10,7 +10,6 @@ aggregates are independent of evaluation order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .gmm import select_gmm
 from .scaling import heuristic_m, log_eigen, log_eigen_multiscale, wavelet_random_matrix
 from .selection import EstimationResult, select_scheme
 from .synth import HurstDistribution, gen_panel, subseed
-from .wavelet import daubechies, decompose
+from .wavelet import daubechies, decompose, max_octave, trimmed_count
 
 __all__ = [
     "ExperimentSpec",
@@ -159,12 +158,22 @@ class ExperimentSpec:
         cfg = self.pipeline
         if cfg.p < 2:
             raise ConfigError(f"panel dimension p must be >= 2, got {cfg.p}")
-        scale = 2**cfg.total_octave
-        if cfg.p >= cfg.n / scale:
-            warnings.warn(
-                f"p={cfg.p} is not below n/scale = {cfg.n / scale:.1f}; the moderately "
-                "high-dimensional regime assumes p < n/(a 2^j)",
-                RuntimeWarning,
+        # what decompose and wavelet_random_matrix would raise in every
+        # replication, raised before any panel is synthesized.  n_j < n/2^j,
+        # so this also keeps p below n/(a 2^j), as the moderately
+        # high-dimensional regime assumes
+        support, deepest = daubechies(cfg.n_vanishing).support_length, cfg.total_octave
+        usable = max_octave(cfg.n, support)
+        if deepest > usable:
+            raise ConfigError(
+                f"series of length {cfg.n} leaves no border-free coefficients at octave {deepest} "
+                f"(filter support {support}); deepest usable octave is {usable}"
+            )
+        n_j = trimmed_count(cfg.n, support, deepest)
+        if cfg.p > n_j:
+            raise ConfigError(
+                f"p={cfg.p} exceeds the effective sample size n_j={n_j} at octave {deepest}: "
+                "every replication's matrix would be rank deficient"
             )
 
     @classmethod

@@ -6,12 +6,24 @@ are time.  An optional leading time-index column is detected (header empty
 or body cells non-numeric) or forced via the time_column argument.  A cell
 is a number when Python's float() reads it; missing and non-finite cells are
 rejected outright, naming the cell; no imputation.
+
+Two readers give the same panels.  A plain numeric file has a header with a
+non-blank cell as its first row, then at least 2 rows, as wide as the header,
+of unquoted finite ASCII numbers, and no byte 0x1C-0x1F anywhere.  It goes
+through numpy's C reader (np.loadtxt), which converts each field with
+PyOS_string_to_double, the routine float() ends in, so the bits are the same;
+the four separator bytes are the one class loadtxt strips as whitespace and
+float() refuses.  Every other file, e.g. one with a date column, a quoted or
+missing cell, 1_000 or non-ASCII digits, goes to the block reader, which runs
+csv.reader and float() on each cell; one the C reader refuses only late pays
+one extra C pass first.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -23,6 +35,10 @@ __all__ = ["read_panel_csv", "standardize"]
 
 _NA_STRINGS = {"", "na", "nan", "n/a", "null", "none", "."}
 _BLOCK = 1024  # data rows converted per numpy call
+_SCAN = 1 << 20  # bytes per chunk of the separator pre-scan
+# U+001C..U+001F: str.isspace() and loadtxt treat them as whitespace, float()
+# does not; none occurs inside a multi-byte UTF-8 sequence
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _cell_error(text: str, row: int, col: int, name: str) -> DataError | None:
@@ -31,9 +47,11 @@ def _cell_error(text: str, row: int, col: int, name: str) -> DataError | None:
     if cell.lower() in _NA_STRINGS:
         return DataError(f"missing value at data row {row}, column {name!r} (col {col}); no imputation is performed")
     try:
-        value = float(cell)
+        value = float(text)
     except ValueError:
-        return DataError(f"cell at data row {row}, column {name!r} (col {col}) is not numeric: {cell!r}")
+        # str.strip() also removes U+001C..U+001F, which float() refuses
+        shown = text if _is_number(cell) else cell
+        return DataError(f"cell at data row {row}, column {name!r} (col {col}) is not numeric: {shown!r}")
     if not math.isfinite(value):
         return DataError(f"cell at data row {row}, column {name!r} (col {col}) is not finite: {cell!r}")
     return None
@@ -95,6 +113,10 @@ def _is_number(cell: str) -> bool:
         return False
 
 
+def _names(header) -> list[str]:
+    return [h.strip() or f"col{j}" for j, h in enumerate(header)]
+
+
 def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
     """Read a series-per-column CSV into a p x n panel (rows = series).
 
@@ -102,6 +124,44 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
     "auto" drops it when its header is empty or any body cell fails numeric
     parsing.  The file must be UTF-8 text (a non-UTF-8 byte raises DataError
     naming its line); a leading byte-order mark is ignored.
+
+    A plain numeric file is read by numpy's C reader, every other file by
+    the block reader, with the same result (see the module docstring).
+    """
+    panel = _read_plain(path, time_column)
+    return panel if panel is not None else _read_blocks(path, time_column)
+
+
+def _read_plain(path, time_column) -> Panel | None:
+    """The panel of a plain numeric file, read by np.loadtxt; None for any
+    other file, which the block reader then reads or rejects."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN):
+            if any(byte in chunk for byte in _SEPARATORS):
+                return None
+    try:
+        # loadtxt warns on a file without data rows, which falls back
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            header = next(csv.reader(fh), [])
+            if not any(h.strip() for h in header):
+                return None
+            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):  # a cell loadtxt cannot read, a ragged row, a non-UTF-8 byte
+        return None
+    width = len(header)
+    if body.shape[0] < 2 or body.shape[1] != width or not np.isfinite(body).all():
+        return None
+    start = 1 if time_column is True or (time_column == "auto" and width > 1 and not header[0].strip()) else 0
+    if width == start:
+        return None
+    data = np.ascontiguousarray(body[:, start:].T)
+    del body  # freed before Panel's finiteness check allocates its mask
+    return Panel(data, series=tuple(_names(header)[start:]))
+
+
+def _read_blocks(path, time_column) -> Panel:
+    """read_panel_csv by csv.reader and float() on each cell.
 
     Rows are converted in blocks of _BLOCK as they are read, so at most two
     blocks of cells are held as text; column 0 alone stays text to the end,
@@ -113,7 +173,7 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
     rows = _nonempty_rows(path)
     header = next(rows, [])
     width = len(header)
-    names = [h.strip() or f"col{j}" for j, h in enumerate(header)]
+    names = _names(header)
     count = 1 if header else 0  # non-empty rows, header included
     short = None  # (data row, cells) of the first row not as wide as the header
     lead = []  # column 0 as text
@@ -154,8 +214,7 @@ def read_panel_csv(path, time_column: bool | str = "auto") -> Panel:
         else:
             # a time index is non-numeric but never missing; empty cells stay
             # data cells so they are reported instead of silently dropped
-            first = [cell.strip() for cell in lead]
-            drop_first = all(first) and not all(_is_number(cell) for cell in first)
+            drop_first = all(cell.strip() for cell in lead) and not all(_is_number(cell) for cell in lead)
     start = 1 if drop_first else 0
     if width == start:
         raise DataError(f"{path}: no data columns after removing the time index")

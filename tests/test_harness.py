@@ -82,17 +82,16 @@ class TestRunSweep:
         assert row["proportion_correct"] == np.mean([r.correct for r in recs])
         assert row["mean_epsilon_ms"] == pytest.approx(np.mean([r.epsilon_ms for r in recs]))
 
-    def test_failures_counted_not_dropped(self):
-        # p exceeds the coefficient count at the coarse octave: rank-deficient
-        # matrices make every replication fail with a degeneracy error
-        with pytest.warns(RuntimeWarning, match="moderately high-dimensional"):
-            spec = small_spec(
-                pipeline=PipelineConfig(n=2**8, p=16, multiscale=(2, 4)),
-                reps=2,
-                methods=("spectral",),
-            )
+    def test_failures_counted_not_dropped(self, monkeypatch):
+        # an all-zero panel has an all-zero matrix at every octave, so every
+        # replication fails with a degeneracy error
+        def zero_panel(dist, p, n, seed):
+            return Panel(np.zeros((p, n))), np.full(p, 0.5)
+
+        monkeypatch.setattr(harness, "gen_panel", zero_panel)
+        spec = small_spec(reps=2, methods=("spectral",))
         res = run_sweep(spec)
-        assert all("p=16 exceeds the effective sample size" in o["failure"] for o in res.rep_records)
+        assert all("non-positive eigenvalue" in o["failure"] for o in res.rep_records)
         row = res.rows[0]
         assert row["failures"] == 2
         assert row["reps_used"] == 0
@@ -187,9 +186,12 @@ class TestExperimentSpec:
         assert spec.configs[0][1].r == 1
         assert spec.configs[1][1].modes == (0.25, 0.35)
 
-    def test_dimension_sanity_warning(self):
-        with pytest.warns(RuntimeWarning, match="moderately"):
+    def test_p_above_border_free_count_rejected(self):
+        # n_j < n/2^j, so this is also the geometry p >= n/(a 2^j)
+        with pytest.raises(ConfigError, match="p=8 exceeds the effective sample size n_j=4 at octave 3"):
             small_spec(pipeline=PipelineConfig(n=2**6, p=8, multiscale=(2, 3)))
+        with pytest.raises(ConfigError, match="length 64 leaves no border-free coefficients at octave 4"):
+            small_spec(pipeline=PipelineConfig(n=2**6, p=2, multiscale=(2, 4)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import tempfile
@@ -19,8 +20,9 @@ from hurstmodes import (
     read_panel_csv,
     standardize,
 )
-from hurstmodes import cli
+from hurstmodes import cli, harness, ingest
 from hurstmodes.cli import main, parse_sweep_spec
+from hurstmodes.ingest import _read_blocks
 
 
 def write_panel_csv(path, data, names=None, time_index=None, cell=repr):
@@ -34,6 +36,14 @@ def write_panel_csv(path, data, names=None, time_index=None, cell=repr):
         for t in range(n):
             row = ([time_index[t]] if time_index is not None else []) + [cell(float(x)) for x in data[:, t]]
             w.writerow(row)
+
+
+@pytest.fixture
+def block_reads(monkeypatch):
+    """The arguments of every call to the block reader."""
+    calls = []
+    monkeypatch.setattr(ingest, "_read_blocks", lambda *args: calls.append(args) or _read_blocks(*args))
+    return calls
 
 
 @pytest.fixture
@@ -156,22 +166,46 @@ class TestReadPanelCsv:
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "data", "message": expected}
 
-    def test_read_bounds_memory(self, tmp_path, rng):
-        # rows become floats block by block and only column 0 stays text, so
-        # the float blocks and the result set the peak, not 1M str cells
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_read_bounds_memory(self, tmp_path, rng, block_reads, dated):
+        # the C reader holds its rows-by-series floats and the transposed
+        # result; the block reader, which takes the dated file, converts rows
+        # block by block and keeps only column 0 as text.  Neither holds 1M
+        # str cells
         data = rng.standard_normal((64, 2**14))
+        text = io.StringIO()
+        np.savetxt(text, data.T, delimiter=",", fmt="%.17g")
+        lines = text.getvalue().splitlines(keepends=True)
         path = tmp_path / "wide.csv"
         with open(path, "w") as fh:
-            fh.write(",".join(f"s{i}" for i in range(64)) + "\n")
-            np.savetxt(fh, data.T, delimiter=",", fmt="%.17g")
+            fh.write(",".join((["date"] if dated else []) + [f"s{i}" for i in range(64)]) + "\n")
+            fh.writelines(f"d{t},{line}" if dated else line for t, line in enumerate(lines))
+        del text, lines
         tracemalloc.start()
         try:
             panel = read_panel_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(block_reads) == dated
         assert panel.data.tobytes() == data.tobytes()
         assert peak <= 3 * panel.data.nbytes
+
+    def test_separator_character_names_cell(self, tmp_path):
+        # float() refuses U+001C, which str.strip() and loadtxt drop as
+        # whitespace; as data it is named, and "auto" takes it for an index
+        path = tmp_path / "fs.csv"
+        path.write_text("a,b\n\x1c1,2\n3,4\n")
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path, time_column=False)
+        assert str(exc.value) == "cell at data row 1, column 'a' (col 0) is not numeric: '\\x1c1'"
+        panel = read_panel_csv(path)
+        assert panel.series == ("b",)
+        assert np.array_equal(panel.data, [[2.0, 4.0]])
+        path.write_text("a,b\n1,2\n3, \x1f4\n")
+        with pytest.raises(DataError) as exc:
+            read_panel_csv(path)
+        assert str(exc.value) == "cell at data row 2, column 'b' (col 1) is not numeric: ' \\x1f4'"
 
 
 def _long_rows(n, lead=None):
@@ -322,6 +356,83 @@ class TestIngestContract:
             panel = read_panel_csv(path)
         assert panel.series == tuple(names[:p])
         assert panel.data.tobytes() == values.tobytes()
+
+
+def _read_outcome(read, path, time_column):
+    """(data bytes, series) of a read, or (exception type, message)."""
+    try:
+        panel = read(path, time_column)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    assert panel.data.flags["C_CONTIGUOUS"]
+    return panel.data.tobytes(), panel.series
+
+
+# cells the C reader refuses or reads differently from float(), and cells
+# that are no finite number
+_ODD_CELLS = ["1_000", "\uff11", '"1.5"', "\xa01", "\x0b1", "\x1c1", "", "NA", "inf", "1e999"]
+
+
+class TestReaderChoice:
+    @pytest.mark.parametrize("text, plain", [
+        ("a,b\n1,2.5\n-3e-2,4\n", True),
+        ("a,b\r\n 1 ,\xa02\r\n\r\n3,\x0b4\r\n", True),  # padding float() drops, CRLF, a blank line
+        ("t,a\nd1,1\nd2,2\n", False),  # a date column
+        ("a,b\n1,2\n3,1_000\n", False),  # refused in the last row
+        ("a,b\n1,2\n3,\uff14\n", False),
+        ('a,b\n1,2\n3,"4"\n', False),
+        ("a,b\n1,2\n,,\n3,4\n", False),  # a row of empty cells
+        ("\na,b\n1,2\n3,4\n", False),  # a blank line before the header
+        (" , \n1,2\n3,4\n5,6\n", False),  # a blank first row: "1,2" is the header
+        ("a,b\n1,2\n", False),  # too few rows
+        ("a,b\n1,2\n3,inf\n", False),
+        ("a,b,c\n1,2\n3,4\n", False),  # rows narrower than the header
+    ])
+    def test_c_reader_takes_plain_files_only(self, tmp_path, block_reads, text, plain):
+        path = tmp_path / "choice.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_panel_csv, path, "auto") == _read_outcome(_read_blocks, path, "auto")
+        assert block_reads == ([] if plain else [(path, "auto")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda width: st.tuples(
+            st.just(width),
+            st.lists(st.lists(st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
+                st.sampled_from(_ODD_CELLS),
+            ), min_size=width, max_size=width), min_size=0, max_size=5),
+        )),
+        st.one_of(st.none(), st.lists(st.sampled_from(["keep", "blank", "spaces", "short"]), min_size=5, max_size=5)),
+        st.sampled_from(["plain", "plain", "mixed", "dated"]),
+        st.sampled_from([True, False, "auto"]),
+        st.booleans(),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_c_reader_matches_block_reader(self, shape, layout, kind, time_column, blank_name, newline):
+        # every file reads to the block reader's bytes and names, or fails
+        # with its error; "plain" files without layout noise hold only
+        # numbers, so most of them take the C reader
+        width, cells = shape
+        header = ["" if blank_name else "t"] + [f"s{j}" for j in range(1, width)]
+        lines = [",".join(header)]
+        for t, (row, how) in enumerate(zip(cells, layout or ["keep"] * 5)):
+            if kind == "plain":
+                row = [c if c not in _ODD_CELLS else "7" for c in row]
+            if kind == "dated":
+                row = [f"2020-01-{t + 1:02d}"] + row[1:]
+            if how == "blank":
+                lines.append("")
+            elif how == "spaces":
+                lines.append("  ")
+            elif how == "short" and width > 1:
+                row = row[:-1]
+            lines.append(",".join(row))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "choice.csv"
+            path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+            assert _read_outcome(read_panel_csv, path, time_column) == _read_outcome(_read_blocks, path, time_column)
 
 
 class TestCliEstimate:
@@ -566,6 +677,26 @@ class TestCliSweep:
         assert main(["sweep", "--spec", str(spec)]) == 2
         assert message in json.loads(capsys.readouterr().err.strip())["message"]
         assert ran == []
+
+    @pytest.mark.parametrize("lines, message", [
+        ("deltas = 0,0.1\nn = 200\np = 10\nj = 1\na = 8\nreps = 3",
+         "p=10 exceeds the effective sample size n_j=8 at octave 4: "
+         "every replication's matrix would be rank deficient"),
+        ("n = 64\nj1 = 2\nj2 = 6",
+         "series of length 64 leaves no border-free coefficients at octave 6 (filter support 4); "
+         "deepest usable octave is 3"),
+    ])
+    def test_unrunnable_geometry_exit_2_before_synthesis(self, tmp_path, monkeypatch, capsys, lines, message):
+        # every replication of these specs would fail in decompose or
+        # wavelet_random_matrix, so the spec fails before any panel is made
+        def gen_panel(*args, **kwargs):
+            raise AssertionError("a panel was synthesized")
+
+        monkeypatch.setattr(harness, "gen_panel", gen_panel)
+        spec = tmp_path / "geometry.txt"
+        spec.write_text(f"family = bimodal\n{lines}\n")
+        assert main(["sweep", "--spec", str(spec)]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": message}
 
     def test_spec_defaults(self, tmp_path):
         spec = tmp_path / "defaults.txt"
