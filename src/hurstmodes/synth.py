@@ -13,7 +13,9 @@ The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
 gen_panel synthesizes them on a thread per CPU the process may run on.  Each
 row depends only on its own generator and its mode's weights, so the panel is
-bitwise the same for any number of threads.
+bitwise the same for any number of threads.  The mixing Y = M X then
+overwrites X in place, one block of columns at a time, so the panel is the
+only p x n array gen_panel holds.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class Panel:
         p, n = d.shape
         if p < 1 or n < 2:
             raise DataError(f"panel needs p >= 1 and n >= 2, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
+        # min and max propagate NaN and hold any infinity: no p x n mask
+        if not (np.isfinite(d.min()) and np.isfinite(d.max())):
             raise DataError("panel contains non-finite entries")
         if self.series is not None and len(self.series) != p:
             raise DataError("series names do not match the number of rows")
@@ -254,6 +257,9 @@ def _row_workers(p: int) -> int:
     return min(p, cpus)
 
 
+_BLOCK = 4096  # panel columns mixed per matrix product
+
+
 def gen_panel(dist: HurstDistribution, p: int, n: int,
               mix: MixingMatrix | str | None = "orthogonal",
               seed: int = 0) -> tuple[Panel, np.ndarray]:
@@ -262,9 +268,19 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
     Returns the panel together with the true Hurst exponents of the latent
     rows (for scoring in simulation studies).  mix may be "orthogonal"
     (Haar-random, drawn from seed), None (no mixing) or a MixingMatrix.
+    Y is formed in place of X, _BLOCK columns per product through one
+    p x _BLOCK buffer, so the panel is the only p x n array.
     """
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
+    if isinstance(mix, str):
+        if mix != "orthogonal":
+            raise ConfigError(f"unknown mixing policy {mix!r}")
+    elif isinstance(mix, MixingMatrix):
+        if mix.p != p:
+            raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
+    elif mix is not None:
+        raise ConfigError(f"mix must be 'orthogonal', None or a MixingMatrix, got {type(mix).__name__}")
     h = sample_hurst(dist, p, seed)
     # weights of each distinct mode, in order of first appearance, on this
     # thread: the first non-PSD row raises before any row starts, and the
@@ -291,14 +307,13 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
 
     # mixing holds the BLAS calls (QR, condition number, product), so it
     # runs after the pool and never shares the CPUs with it
-    if mix is None:
-        return Panel(x), h
     if isinstance(mix, str):
-        if mix != "orthogonal":
-            raise ConfigError(f"unknown mixing policy {mix!r}")
         mix = MixingMatrix.haar(p, seed)
-    elif not isinstance(mix, MixingMatrix):
-        raise ConfigError(f"mix must be 'orthogonal', None or a MixingMatrix, got {type(mix).__name__}")
-    if mix.p != p:
-        raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
-    return Panel(mix.matrix @ x), h
+    if mix is not None:
+        buf = np.empty((p, min(n, _BLOCK)))
+        for c in range(0, n, _BLOCK):
+            cols = x[:, c : c + _BLOCK]
+            out = buf[:, : cols.shape[1]]
+            np.matmul(mix.matrix, cols, out=out)
+            cols[...] = out
+    return Panel(x), h

@@ -137,6 +137,9 @@ def trimmed_count(n: int, support_length: int, octave: int) -> int:
 
 def max_octave(n: int, support_length: int) -> int:
     """Deepest octave with at least one border-free coefficient."""
+    # a support below 1 leaves a border-free coefficient at every octave
+    if support_length < 1:
+        raise ConfigError(f"filter support must be at least 1, got {support_length!r}")
     j = 0
     while trimmed_count(n, support_length, j + 1) >= 1:
         j += 1

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,18 +220,26 @@ class TestGenPanel:
         assert np.array_equal(p1.data, p2.data)
         assert np.array_equal(h1, h2)
 
-    def test_mix_shape_checked(self):
-        with pytest.raises(DomainError):
-            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=MixingMatrix(np.eye(3)), seed=0)
-
     def test_singular_user_mix_rejected(self):
         bad = np.ones((4, 4))
         with pytest.raises(DomainError):
             gen_panel(HurstDistribution.point(0.5), 4, 64, mix=MixingMatrix(bad), seed=0)
 
-    def test_raw_array_mix_rejected(self):
+    # a bad mix is rejected before the row pool starts: no row is made
+    def test_mix_shape_checked(self, monkeypatch):
+        monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row was synthesized"))
+        with pytest.raises(DomainError, match="3x3 but panel has p=4"):
+            gen_panel(HurstDistribution.point(0.5), 4, 64, mix=MixingMatrix(np.eye(3)), seed=0)
+
+    def test_raw_array_mix_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row was synthesized"))
         with pytest.raises(ConfigError, match="MixingMatrix"):
             gen_panel(HurstDistribution.point(0.5), 4, 64, mix=np.eye(4), seed=0)
+
+    def test_unknown_mix_policy_rejected(self, monkeypatch):
+        monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row was synthesized"))
+        with pytest.raises(ConfigError, match="unknown mixing policy 'haar'"):
+            gen_panel(HurstDistribution.point(0.5), 4, 64, mix="haar", seed=0)
 
     def test_paper_scale_panel(self):
         dist = HurstDistribution.uniform([0.25, 0.35])
@@ -262,6 +271,44 @@ class TestRowPool:
         panel, h = gen_panel(self.DIST, p, 2**12, seed=17)
         assert panel.data.tobytes() == ref.tobytes()
         assert np.array_equal(h, h_ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [3 * synth._BLOCK, synth._BLOCK // 2])
+    def test_block_mixing_bitwise_equal_to_whole_product(self, monkeypatch, n, workers):
+        # whole blocks, or a panel narrower than one block: each column of
+        # M X is the same dot products whichever block it sits in
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+        ref, _ = _serial_panel(self.DIST, 64, n, seed=23)
+        panel, _ = gen_panel(self.DIST, 64, n, seed=23)
+        assert panel.data.tobytes() == ref.tobytes()
+
+    def test_block_mixing_ragged_tail_within_rounding(self):
+        """Above one block with a ragged last block, the BLAS may take other
+        kernels for the narrow tail than for the columns at the same place in
+        a whole product (the whole product's bytes here already depend on the
+        BLAS thread count), so the bits may differ; each entry is still M X
+        to a few roundings of a p-term dot product."""
+        n = 3 * synth._BLOCK + 57
+        ref, _ = _serial_panel(self.DIST, 64, n, seed=29)
+        panel, _ = gen_panel(self.DIST, 64, n, seed=29)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(panel.data - ref)) <= 4 * eps * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_one_panel(self, monkeypatch, workers):
+        # mixing in place keeps X and M X from being alive at once, and the
+        # Panel check allocates no p x n mask
+        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+        p, n = 64, 2**16
+        for H in self.DIST.modes:  # the cached weights are not the panel's
+            synth._embedding_sqrt_eigs(H, n)
+        tracemalloc.start()
+        try:
+            panel, _ = gen_panel(self.DIST, p, n, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * panel.data.nbytes
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
         # many more threads than CPUs, switching as often as the interpreter
@@ -375,7 +422,17 @@ class TestPanel:
     def test_validation(self):
         with pytest.raises(DataError):
             Panel(np.array([1.0, 2.0]))  # 1-D
-        with pytest.raises(DataError):
-            Panel(np.array([[np.inf, 1.0]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DataError, match="non-finite"):
+                Panel(np.array([[bad, 1.0]]))
+        big = np.ones((64, 4096))
+        big[37, 1234] = np.nan
+        with pytest.raises(DataError, match="non-finite"):
+            Panel(big)
+        big[37, 1234] = -np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            Panel(big)
+        big[37, 1234] = np.finfo(float).max
+        assert Panel(big).data is big
         with pytest.raises(DataError):
             Panel(np.ones((2, 1)))  # n < 2

@@ -316,3 +316,11 @@ def test_trimmed_count_examples():
     assert trimmed_count(2**14, 4, 1) == 8187
     assert trimmed_count(2**14, 4, 5) == 508
     assert max_octave(2**14, 4) >= 10
+
+
+@pytest.mark.parametrize("support", [0, -2])
+def test_max_octave_rejects_support_below_one(support):
+    # such a support keeps a border-free coefficient at every octave, so the
+    # search would never end
+    with pytest.raises(ConfigError, match=f"support must be at least 1, got {support}"):
+        max_octave(100, support)
