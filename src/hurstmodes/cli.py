@@ -89,15 +89,19 @@ def _pipeline_config(settings: dict, n: int = 0, p: int = 0) -> PipelineConfig:
     return PipelineConfig(n=n, p=p, grid_max=grid_max, **{k: v for k, v in s.items() if v is not None})
 
 
-def _analyze_panel(args, affine: str = "h"):
-    """The prologue estimate and spectrum share: check the settings, read and
-    standardize the CSV, and take its statistics.  Returns the config, the
-    grid bound, the series names and the output fields both commands write."""
+def _read_panel(args):
+    """Check the settings and read and standardize the CSV: the prologue
+    estimate and spectrum share.  Returns the config and the panel."""
     if args.bins < 1:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
     cfg = _pipeline_config(vars(args))
     time_column = {"auto": "auto", "yes": True, "no": False}[args.time_column]
-    panel = standardize(read_panel_csv(args.input, time_column=time_column))
+    return cfg, standardize(read_panel_csv(args.input, time_column=time_column))
+
+
+def _analyze_panel(args, cfg, panel, affine: str = "h"):
+    """Take the panel's statistics.  Returns the grid bound and the output
+    fields estimate and spectrum both write."""
     h_set, grid_max = log_eigen_set(panel, cfg)
     mode = ({"kind": "multiscale", "j1": cfg.multiscale[0], "j2": cfg.multiscale[1]}
             if cfg.multiscale is not None else {"kind": "single", "a": cfg.a, "j": cfg.j})
@@ -111,15 +115,19 @@ def _analyze_panel(args, affine: str = "h"):
         "histogram": {"bin_edges": edges, "counts": counts, "affine": affine},
         "seed": args.seed,
     }
-    return cfg, grid_max, panel.series, fields
+    return grid_max, fields
 
 
 def cmd_estimate(args) -> int:
-    cfg, grid_max, series, out = _analyze_panel(args)
+    cfg, panel = _read_panel(args)
+    # clustering needs two statistics, one per series: fail before decomposing
+    if panel.p < 2:
+        raise DataError(f"estimate needs at least 2 series to cluster, got {panel.p}")
+    grid_max, out = _analyze_panel(args, cfg, panel)
     est = select_scheme(out["h_values"], m=cfg.m, grid_max=grid_max, seed=args.seed,
                         min_cluster=cfg.min_cluster)
     out.update({
-        "series": list(series) if series else None,
+        "series": list(panel.series) if panel.series else None,
         "r_hat": est.r_hat,
         "modes": est.modes,
         "probs": est.probs,
@@ -141,7 +149,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    *_, out = _analyze_panel(args, affine=args.affine)
+    _, out = _analyze_panel(args, *_read_panel(args), affine=args.affine)
     _dump_json(out, args.output)
     return 0
 

@@ -19,6 +19,7 @@ __all__ = ["GmmFit", "fit_gmm", "select_gmm"]
 _VAR_FLOOR = 1e-12
 _TOL = 1e-8
 _MAX_ITERS = 500
+K_MAX = 3  # largest k select_gmm fits by default; it needs 2 * K_MAX points
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -114,7 +115,7 @@ def _bic(loglik: float, k: int, n: int) -> float:
     return -2.0 * loglik + (3 * k - 1) * np.log(n)
 
 
-def select_gmm(h_set: np.ndarray, k_max: int = 3, seed: int = 0) -> GmmFit:
+def select_gmm(h_set: np.ndarray, k_max: int = K_MAX, seed: int = 0) -> GmmFit:
     """Best fit over k = 1..k_max by the BIC criterion (smaller is better).
 
     The fit is deterministic, so seed is accepted only for interface

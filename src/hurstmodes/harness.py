@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError
-from .gmm import select_gmm
+from .gmm import K_MAX, select_gmm
 from .scaling import heuristic_m, log_eigen, log_eigen_multiscale, wavelet_random_matrix
 from .selection import EstimationResult, select_scheme
 from .synth import HurstDistribution, gen_panel, subseed
@@ -175,6 +175,9 @@ class ExperimentSpec:
                 f"p={cfg.p} exceeds the effective sample size n_j={n_j} at octave {deepest}: "
                 "every replication's matrix would be rank deficient"
             )
+        # run_rep's select_gmm fits k = 1..K_MAX to the p statistics
+        if "gmm" in self.methods and cfg.p < 2 * K_MAX:
+            raise ConfigError(f"method gmm needs p >= 2*k_max = {2 * K_MAX} series, got p={cfg.p}")
 
     @classmethod
     def bimodal_sweep(cls, deltas, base: float = 0.25, probs=(0.5, 0.5), **kwargs) -> "ExperimentSpec":

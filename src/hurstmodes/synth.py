@@ -1,5 +1,5 @@
 """Synthetic fractal panels: fBm paths with randomly drawn Hurst exponents,
-mixed through a (random orthogonal) coordinates matrix.
+mixed through a Haar-random orthogonal coordinates matrix.
 
 fBm paths use circulant embedding of the increment process (Davies & Harte
 1987; Dieker 2004), which is exact and O(n log n).  The embedded spectrum is
@@ -13,7 +13,7 @@ The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
 gen_panel synthesizes them on a thread per CPU the process may run on.  Each
 row depends only on its own generator and its mode's weights, so the panel is
-bitwise the same for any number of threads.  The mixing Y = M X then
+bitwise the same for any number of threads.  The mixing Y = Q X then
 overwrites X in place, one block of columns at a time, so the panel is the
 only p x n array gen_panel holds.
 """
@@ -92,35 +92,25 @@ class HurstDistribution:
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class MixingMatrix:
-    """Invertible p x p coordinates matrix applied to the latent panel."""
+    """The p x p Haar-random orthogonal Q that gen_panel applies to its
+    latent panel, the one mixing policy: Q maps each wavelet random matrix
+    W_j to Q W_j Q^T, which has the same spectrum, so the mixing leaves
+    every statistic as it was."""
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"mixing matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("mixing matrix has non-finite entries")
-        if np.linalg.cond(m) > 1.0 / np.finfo(float).eps:
-            raise DomainError("mixing matrix is singular (condition number not finite)")
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def haar(cls, p: int, seed: int) -> "MixingMatrix":
         """Haar-distributed random orthogonal matrix.
 
         QR of an i.i.d. Gaussian matrix with the R-diagonal sign fixed so the
-        factor is drawn from the Haar measure rather than a skewed slice of it.
+        factor is drawn from the Haar measure rather than a skewed slice of it
+        (Mezzadri 2007).  copysign gives each column a sign of +-1 even where
+        a diagonal entry is 0.0, so the factor is orthogonal by construction.
         """
         rng = subseed(seed, 1)
         q, r = np.linalg.qr(rng.standard_normal((p, p)))
-        q = q * np.sign(np.diag(r))
-        return cls(q)
+        return cls(q * np.copysign(1.0, np.diag(r)))
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -260,27 +250,18 @@ def _row_workers(p: int) -> int:
 _BLOCK = 4096  # panel columns mixed per matrix product
 
 
-def gen_panel(dist: HurstDistribution, p: int, n: int,
-              mix: MixingMatrix | str | None = "orthogonal",
-              seed: int = 0) -> tuple[Panel, np.ndarray]:
-    """p x n observed panel Y = M X with independent fBm rows in X.
+def gen_panel(dist: HurstDistribution, p: int, n: int, seed: int = 0) -> tuple[Panel, np.ndarray]:
+    """p x n observed panel Y = Q X with independent fBm rows in X.
 
     Returns the panel together with the true Hurst exponents of the latent
-    rows (for scoring in simulation studies).  mix may be "orthogonal"
-    (Haar-random, drawn from seed), None (no mixing) or a MixingMatrix.
-    Y is formed in place of X, _BLOCK columns per product through one
-    p x _BLOCK buffer, so the panel is the only p x n array.
+    rows (for scoring in simulation studies).  Q is MixingMatrix.haar(p,
+    seed), the one mixing policy: Q is orthogonal, so it leaves the spectrum
+    of every wavelet random matrix as it was.  Y is formed in place of X,
+    _BLOCK columns per product through one p x _BLOCK buffer, so the panel
+    is the only p x n array.
     """
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
-    if isinstance(mix, str):
-        if mix != "orthogonal":
-            raise ConfigError(f"unknown mixing policy {mix!r}")
-    elif isinstance(mix, MixingMatrix):
-        if mix.p != p:
-            raise DomainError(f"mixing matrix is {mix.p}x{mix.p} but panel has p={p}")
-    elif mix is not None:
-        raise ConfigError(f"mix must be 'orthogonal', None or a MixingMatrix, got {type(mix).__name__}")
     h = sample_hurst(dist, p, seed)
     # weights of each distinct mode, in order of first appearance, on this
     # thread: the first non-PSD row raises before any row starts, and the
@@ -305,15 +286,13 @@ def gen_panel(dist: HurstDistribution, p: int, n: int,
             for _ in pool.map(fill, range(p)):
                 pass
 
-    # mixing holds the BLAS calls (QR, condition number, product), so it
-    # runs after the pool and never shares the CPUs with it
-    if isinstance(mix, str):
-        mix = MixingMatrix.haar(p, seed)
-    if mix is not None:
-        buf = np.empty((p, min(n, _BLOCK)))
-        for c in range(0, n, _BLOCK):
-            cols = x[:, c : c + _BLOCK]
-            out = buf[:, : cols.shape[1]]
-            np.matmul(mix.matrix, cols, out=out)
-            cols[...] = out
+    # mixing holds the BLAS calls (QR, product), so it runs after the pool
+    # and never shares the CPUs with it
+    q = MixingMatrix.haar(p, seed).matrix
+    buf = np.empty((p, min(n, _BLOCK)))
+    for c in range(0, n, _BLOCK):
+        cols = x[:, c : c + _BLOCK]
+        out = buf[:, : cols.shape[1]]
+        np.matmul(q, cols, out=out)
+        cols[...] = out
     return Panel(x), h

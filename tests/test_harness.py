@@ -25,6 +25,7 @@ from hurstmodes import (
 )
 from hurstmodes import harness
 from hurstmodes.harness import log_eigen_set
+from test_synth import latent_panel
 
 
 def small_spec(**kwargs):
@@ -153,11 +154,11 @@ class TestRunPipeline:
     def test_haar_mixing_leaves_statistics(self, cfg, seed):
         # Y = P X with P orthogonal turns every WRM W_j into P W_j P^T, so the
         # statistics and the grid bound move only by rounding (measured max
-        # 6.0e-15 over 40 seeds at this geometry); the mixed and unmixed
-        # panels share their latent rows
+        # 6.0e-15 over 40 seeds at this geometry); the unmixed panel is
+        # gen_panel's latent rows, rebuilt from the same seed
         dist = HurstDistribution.uniform([0.3, 0.7])
         mixed, _ = gen_panel(dist, 16, 2**11, seed=seed)
-        plain, _ = gen_panel(dist, 16, 2**11, mix=None, seed=seed)
+        plain = Panel(latent_panel(dist, 16, 2**11, seed)[0])
         h_mixed, m_mixed = log_eigen_set(mixed, cfg)
         h_plain, m_plain = log_eigen_set(plain, cfg)
         assert np.max(np.abs(h_mixed - h_plain)) <= 1e-13

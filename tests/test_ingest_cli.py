@@ -496,6 +496,21 @@ class TestCliEstimate:
         err = capsys.readouterr().err
         assert json.loads(err.strip())["error"] == "data"
 
+    def test_one_series_exit_3_before_decomposing(self, tmp_path, monkeypatch, capsys):
+        # one series gives one statistic and nothing to cluster: a fault of
+        # the data, found before any decomposition; spectrum still reports it
+        path = tmp_path / "one.csv"
+        write_panel_csv(path, np.cumsum(np.random.default_rng(3).standard_normal((1, 4096)), axis=1))
+        real = cli.log_eigen_set
+        monkeypatch.setattr(cli, "log_eigen_set", lambda *args: pytest.fail("the panel was decomposed"))
+        assert main(["estimate", "--input", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "data", "message": "estimate needs at least 2 series to cluster, got 1"}
+        monkeypatch.setattr(cli, "log_eigen_set", real)
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["p"] == 1
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 3
 
@@ -685,6 +700,8 @@ class TestCliSweep:
         ("n = 64\nj1 = 2\nj2 = 6",
          "series of length 64 leaves no border-free coefficients at octave 6 (filter support 4); "
          "deepest usable octave is 3"),
+        ("n = 2048\np = 4\nj1 = 2\nj2 = 4",
+         "method gmm needs p >= 2*k_max = 6 series, got p=4"),
     ])
     def test_unrunnable_geometry_exit_2_before_synthesis(self, tmp_path, monkeypatch, capsys, lines, message):
         # every replication of these specs would fail in decompose or
@@ -697,6 +714,14 @@ class TestCliSweep:
         spec.write_text(f"family = bimodal\n{lines}\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
         assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": message}
+
+    def test_spectral_only_spec_takes_p_below_gmm_minimum(self, tmp_path):
+        spec = tmp_path / "spectral.txt"
+        spec.write_text("family = bimodal\ndeltas = 0.3\nn = 2048\np = 4\nj1 = 2\nj2 = 4\n"
+                        "reps = 1\nmethods = spectral\n")
+        base = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec), "--output", str(base), "--format", "json"]) == 0
+        assert [r["method"] for r in json.loads((tmp_path / "out.json").read_text())["rows"]] == ["spectral"]
 
     def test_spec_defaults(self, tmp_path):
         spec = tmp_path / "defaults.txt"
