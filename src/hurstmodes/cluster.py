@@ -1,11 +1,32 @@
 """Spectral clustering of log-eigenvalue sets at a fixed precision threshold.
 
 The chain is: threshold graph on the sorted statistics, unnormalized graph
-Laplacian L = D - A, eigengap count of the ascending spectrum, embedding by
-the leading eigenvector rows, and Lloyd k-means on the embedded points.
-The resulting partition is converted into mode estimates (cluster means),
-probabilities (cluster sizes / p) and the intra-cluster standard deviation
-used for model selection.
+Laplacian L = D - A, eigengap count of the ascending spectrum (von Luxburg
+2007, "A tutorial on spectral clustering", Stat. Comput. 17:395, section 8),
+embedding by the leading eigenvector rows, and Lloyd k-means on the embedded
+points.  The resulting partition is converted into mode estimates (cluster
+means), probabilities (cluster sizes / p) and the intra-cluster standard
+deviation used for model selection.
+
+A count of one needs no eigenvectors, so the count is decided by the
+cheapest of three tiers that settles it, each giving the count that eigh's
+eigenvalues give:
+
+1. Degrees alone.  With G' the complement graph and B the largest
+   d'_u + d'_v over its edges uv (0 without edges), L(G) + L(G') = pI - J
+   gives theta_1 = p - lambda_max(L(G')) >= p - B (Anderson & Morley 1985,
+   Linear Multilinear Algebra 18:141), and theta_max <= p bounds every gap
+   above theta_1 by p - theta_1.  When 2B <= p - 1 the first gap beats every
+   other by at least 1, far above eigh's rounding; degrees are integers, so
+   the test is exact.
+2. Eigenvalues alone (eigvalsh).  A count of one is accepted only when the
+   first gap beats every other by more than _GAP_MARGIN * max(1, theta_max),
+   over a million times the largest eigvalsh-eigh disagreement measured on
+   the acceptance and p=512 Laplacians (4.2e-15 * max(1, theta_max)); exact
+   ties of the top two gaps, which do occur there, and every other outcome
+   go on to tier 3.
+3. laplacian_spectrum (eigh), the count from its eigenvalues and k-means on
+   the eigenvector rows.
 """
 
 from __future__ import annotations
@@ -28,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_ITERS = 100  # Lloyd iterations before kmeans stops without converging
+_GAP_MARGIN = 1e-8  # tier 2's margin, relative to max(1, theta_max)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -75,6 +97,22 @@ def eigengap_count(theta: np.ndarray) -> int:
         raise DomainError(f"need at least 2 eigenvalues, got {len(theta)}")
     gaps = theta[1:] - theta[:-1]
     return int(np.argmax(gaps)) + 1
+
+
+def _count_is_one(adjacency: np.ndarray) -> bool:
+    """True when eigengap_count of L = D - A is proved to be 1 without
+    eigenvectors: by the complement's degree bound, else by eigvalsh with a
+    margin (tiers 1 and 2 of the module docstring).  False proves nothing."""
+    p = len(adjacency)
+    degrees = adjacency.sum(axis=1)
+    co = (p - 1) - degrees  # complement degrees
+    pair = (co[:, None] + co[None, :]) * (adjacency == 0.0)  # on the complement's edges
+    np.fill_diagonal(pair, 0.0)
+    if 2.0 * pair.max() <= p - 1:
+        return True
+    theta = np.linalg.eigvalsh(np.diag(degrees) - adjacency)
+    gaps = theta[1:] - theta[:-1]
+    return gaps[0] - np.max(gaps[1:], initial=-np.inf) > _GAP_MARGIN * max(1.0, theta[-1])
 
 
 def _farthest_point_init(distinct: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,7 +174,7 @@ def icsd(values: np.ndarray, clusters) -> float:
     return total
 
 
-def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> ClusterScheme:
+def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0, *, prove_one: bool = True) -> ClusterScheme:
     """Full fixed-precision estimation chain on a log-eigenvalue set.
 
     Threshold graph, Laplacian eigengap for the number of modes, spectral
@@ -145,6 +183,14 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
     A count of one short-circuits to the single whole-set cluster.  The
     chain runs on the stably sorted statistics, so the input order only
     permutes the clusters.
+
+    The count is decided by the first tier of the module docstring that
+    settles it: the complement's degree bound, which is exact in integers;
+    eigvalsh with a margin far above its disagreement with eigh; otherwise
+    laplacian_spectrum.  The first two only ever prove a count of one, the
+    count eigh's eigenvalues give there, so every tier yields the same
+    scheme.  prove_one=False skips them and goes straight to
+    laplacian_spectrum; it changes the cost, never the result.
     """
     values = np.asarray(h_set, dtype=float)
     p = len(values)
@@ -153,8 +199,12 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0) -> Cluster
     perm = np.argsort(values, kind="stable")
     x = values[perm]
 
-    theta, u = laplacian_spectrum(epsilon_graph(x, eps))
-    r_hat = eigengap_count(theta)
+    adjacency = epsilon_graph(x, eps)
+    if prove_one and _count_is_one(adjacency):
+        r_hat = 1
+    else:
+        theta, u = laplacian_spectrum(adjacency)
+        r_hat = eigengap_count(theta)
     if r_hat == 1:
         clusters = (tuple(range(p)),)
     else:

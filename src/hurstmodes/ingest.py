@@ -233,11 +233,11 @@ def _read_blocks(path, time_column) -> Panel:
 def standardize(panel: Panel) -> Panel:
     """Divide each series by the sample standard deviation of its first
     differences.  Constant (zero-difference-variance) series are rejected
-    by name rather than silently producing infinities."""
+    by name rather than silently producing infinities.  The differences are
+    taken one row at a time, so the output is the only p x n array made."""
     if panel.n < 3:
         raise DataError(f"standardization needs n >= 3 per series, got n={panel.n}")
-    diffs = np.diff(panel.data, axis=1)
-    sd = diffs.std(axis=1, ddof=1)
+    sd = np.array([np.diff(row).std(ddof=1) for row in panel.data])
     bad = np.flatnonzero(sd <= 0.0)
     if len(bad):
         names = [panel.series[i] if panel.series else f"row {i}" for i in bad]

@@ -1,7 +1,9 @@
 """Model selection over the clustering-precision grid.
 
 The fixed-precision estimator runs at eps_k = k*M/m for k = 1..m and the
-scheme minimizing the intra-cluster standard deviation is selected.
+scheme minimizing the intra-cluster standard deviation is selected.  The
+grid is walked from k = m down, and the eigenvector-free proofs of a count
+of one (see cluster) are tried only until the first point that splits.
 Schemes containing clusters smaller than min_cluster are excluded from the
 argmin (singleton clusters minimize the ICSD trivially) but stay in the
 trace for diagnostics.
@@ -78,9 +80,17 @@ def select_scheme(
         raise ConfigError(f"grid_max must be finite and positive, got {grid_max}")
 
     grid = grid_max * np.arange(1, m + 1) / m
-    schemes = []
-    for k in range(1, m + 1):
-        schemes.append(estimate_at_epsilon(values, grid[k - 1], seed=_epsilon_seed(seed, k, m)))
+    # from the largest epsilon down: a denser graph is the likelier to have a
+    # count of one that estimate_at_epsilon proves without eigenvectors, and
+    # once a point splits the smaller ones go straight to eigh.  The seeds
+    # are tied to k/m and the trace keeps index order, so the walk changes
+    # only the cost
+    schemes = [None] * m
+    prove_one = True
+    for k in range(m, 0, -1):
+        scheme = estimate_at_epsilon(values, grid[k - 1], seed=_epsilon_seed(seed, k, m), prove_one=prove_one)
+        schemes[k - 1] = scheme
+        prove_one = prove_one and scheme.r_hat == 1
     curve = np.array([s.icsd for s in schemes])
     excluded = np.array([s.min_cluster_size < min_cluster for s in schemes])
 

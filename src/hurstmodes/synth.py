@@ -11,7 +11,9 @@ covariance is kept as the small-n test oracle.
 
 The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
-gen_panel synthesizes them on a thread per CPU the process may run on.  Each
+gen_panel synthesizes them on a thread per CPU the process may run on, at
+most one thread per six rows, which bounds the temporaries in flight by the
+panel.  Each
 row depends only on its own generator and its mode's weights, so the panel is
 bitwise the same for any number of threads.  The mixing Y = Q X then
 overwrites X in place, one block of columns at a time, so the panel is the
@@ -238,13 +240,18 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
     return _path(rng, _embedding_sqrt_eigs(H, n), n, np.empty(n))
 
 
+_ROWS_PER_WORKER = 6  # a row in flight holds ~48 bytes per sample, six rows of the panel
+
+
 def _row_workers(p: int) -> int:
-    """Threads for p rows: one per CPU this process may run on, at most p."""
+    """Threads for p rows: one per CPU this process may run on, and at most
+    one per _ROWS_PER_WORKER rows, so the rows in flight never hold more
+    temporaries than the p x n panel holds."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(p, cpus)
+    return min(cpus, max(1, p // _ROWS_PER_WORKER))
 
 
 _BLOCK = 4096  # panel columns mixed per matrix product

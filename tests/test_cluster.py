@@ -18,6 +18,7 @@ from hurstmodes import (
     laplacian_spectrum,
     select_scheme,
 )
+from hurstmodes import cluster
 from hurstmodes.harness import log_eigen_set
 
 
@@ -284,6 +285,96 @@ class TestIcsd:
             between = wa * wb * (a.mean() - b.mean()) ** 2
             assert var_union == pytest.approx(mix + between, abs=1e-12)
             assert var_union >= mix - 1e-12
+
+
+def _no_eigen(*args, **kwargs):
+    pytest.fail("an eigendecomposition ran")
+
+
+def _random_graph(p, density, seed):
+    """0/1 symmetric adjacency with zero diagonal, each edge present with
+    probability density."""
+    upper = np.triu(np.random.default_rng(seed).random((p, p)) < density, 1).astype(float)
+    return upper + upper.T
+
+
+_graphs = st.builds(_random_graph, st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+
+
+class TestCountProof:
+    """The eigenvector-free proofs that the eigengap count is 1."""
+
+    def test_complete_graph_needs_no_eigen_call(self, monkeypatch):
+        # every pair within eps: the complement has no edge, so B = 0
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigen)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigen)
+        values = np.linspace(0.0, 1.0, 50)
+        scheme = estimate_at_epsilon(values, eps=2.0, seed=0)
+        assert scheme.clusters == (tuple(range(50)),)
+        assert scheme.icsd == icsd(values, scheme.clusters)
+
+    def test_disjoint_cliques_never_proved(self):
+        # theta_1 = 0: the first gap is 0, so the count is above 1 (not
+        # always 2: K_2 + K_7 has gaps 0, 2, 5)
+        for sizes in itertools.product([1, 2, 3, 7, 30], repeat=2):
+            if sizes == (1, 1):
+                continue  # p = 2: one gap, so a count of one
+            adj = disjoint_complete_adjacency(sizes)
+            assert not cluster._count_is_one(adj), sizes
+            assert eigengap_count(laplacian_spectrum(adj)[0]) > 1
+
+    def test_two_adjacent_points_proved_by_degrees(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigen)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigen)
+        assert cluster._count_is_one(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_two_apart_points_proved_by_eigenvalues(self, monkeypatch):
+        # B = 2 > (p - 1) / 2, but two eigenvalues have one gap: the count is 1
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        monkeypatch.setattr(np.linalg, "eigh", _no_eigen)
+        assert cluster._count_is_one(np.zeros((2, 2)))
+        assert calls == [(2, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(adj=_graphs)
+    def test_proof_agrees_with_eigh(self, adj):
+        # on any graph, not only threshold graphs: a proved count is eigh's
+        if cluster._count_is_one(adj):
+            assert eigengap_count(laplacian_spectrum(adj)[0]) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(adj=_graphs)
+    def test_degree_bound(self, adj):
+        # theta_1 >= p - B (Anderson & Morley on the complement)
+        p = len(adj)
+        co = (p - 1) - adj.sum(axis=1)
+        b = max((co[u] + co[v] for u in range(p) for v in range(u + 1, p) if adj[u, v] == 0.0), default=0.0)
+        theta = laplacian_spectrum(adj)[0]
+        assert theta[1] >= p - b - 1e-9 * p
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lattice=st.booleans(),
+        ints=st.lists(st.integers(0, 12), min_size=2, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+        frac=st.integers(1, 12),
+    )
+    def test_both_paths_give_equal_schemes(self, lattice, ints, seed, frac):
+        # prove_one changes the cost, never the scheme
+        if lattice:  # duplicates and distances equal to eps
+            values = np.array(ints, dtype=float) / 4.0
+        else:
+            values = np.random.default_rng(seed).standard_normal(len(ints)) * 0.1 + (np.array(ints) > 6)
+        eps = frac * (float(np.ptp(values)) or 1.0) / 12
+        a = estimate_at_epsilon(values, eps, seed=seed)
+        b = estimate_at_epsilon(values, eps, seed=seed, prove_one=False)
+        assert a.clusters == b.clusters
+        assert a.r_hat == b.r_hat
+        assert np.array_equal(a.mode_estimates, b.mode_estimates)
+        assert np.array_equal(a.prob_estimates, b.prob_estimates)
+        assert a.icsd == b.icsd
 
 
 class TestEstimateAtEpsilon:

@@ -78,6 +78,25 @@ class TestStandardize:
         with pytest.raises(DataError, match="flat"):
             standardize(Panel(x, series=("flat", "ramp")))
 
+    @pytest.mark.parametrize("p,n", [(64, 2**14), (7, 1001), (512, 4096), (3, 5)])
+    def test_row_by_row_equals_whole_panel_difference(self, rng, p, n):
+        # each row's differences reduce in the same order as a row of the
+        # p x n difference matrix, so the scale factors keep their bits
+        x = np.cumsum(rng.standard_normal((p, n)), axis=1) * rng.uniform(0.1, 50, (p, 1))
+        sd = np.diff(x, axis=1).std(axis=1, ddof=1)
+        assert np.array_equal(standardize(Panel(x)).data, x / sd[:, None])
+
+    def test_peak_memory_one_output(self, rng):
+        # no p x n difference matrix next to the output
+        panel = Panel(np.cumsum(rng.standard_normal((64, 2**14)), axis=1))
+        tracemalloc.start()
+        try:
+            standardize(panel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * panel.data.nbytes
+
 
 class TestReadPanelCsv:
     def test_time_column_auto_dropped(self, tmp_path, rng):

@@ -3,7 +3,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hurstmodes import ConfigError, DomainError, estimate_at_epsilon, select_scheme
+from hurstmodes import (
+    ConfigError,
+    DomainError,
+    eigengap_count,
+    epsilon_graph,
+    estimate_at_epsilon,
+    icsd,
+    kmeans,
+    laplacian_spectrum,
+    select_scheme,
+)
+from hurstmodes import selection
 
 
 @pytest.fixture
@@ -162,6 +173,89 @@ class TestSelectScheme:
         assert b.trace.chosen_index == a.trace.chosen_index
         assert b.r_hat == a.r_hat
         np.testing.assert_allclose(b.modes, a.modes + c, rtol=0, atol=1e-12)
+
+
+def _reference_point(values, eps, seed):
+    """One grid point by the eigh chain alone: (clusters in input indices,
+    modes, probabilities, ICSD)."""
+    perm = np.argsort(values, kind="stable")
+    x = values[perm]
+    theta, u = laplacian_spectrum(epsilon_graph(x, eps))
+    r = eigengap_count(theta)
+    clusters = (tuple(range(len(x))),) if r == 1 else kmeans(u[:, :r], r, seed=seed)
+    means = np.array([x[list(c)].mean() for c in clusters])
+    order = np.argsort(means)
+    clusters = tuple(clusters[i] for i in order)
+    sizes = np.array([len(c) for c in clusters], dtype=float)
+    return (tuple(tuple(sorted(perm[list(c)].tolist())) for c in clusters), means[order],
+            sizes / len(x), icsd(x, clusters))
+
+
+def _reference_select(values, grid_max, m, seed, min_cluster):
+    """select_scheme with eigh at every grid point, k = 1..m."""
+    grid = grid_max * np.arange(1, m + 1) / m
+    points = [_reference_point(values, grid[k - 1], _scheme_seed(seed, k, m)) for k in range(1, m + 1)]
+    curve = np.array([pt[3] for pt in points])
+    excluded = np.array([min(len(c) for c in pt[0]) < min_cluster for pt in points])
+    if excluded.all():
+        excluded[:] = False
+    return points, curve, excluded, int(np.argmin(np.where(excluded, np.inf, curve)))
+
+
+class TestEigenvectorFreeCounts:
+    """select_scheme equals the chain that runs eigh at every grid point."""
+
+    @pytest.mark.filterwarnings("ignore:every grid point:RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lattice=st.booleans(),
+        ints=st.lists(st.integers(0, 15), min_size=2, max_size=48),
+        centers=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        spread=st.floats(1e-3, 0.2),
+        m=st.integers(1, 12),
+        min_cluster=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_eigh_at_every_point(self, lattice, ints, centers, spread, m, min_cluster, seed):
+        # integer lattices carry duplicates and distances equal to a grid
+        # value; the continuous sets are one to three normal modes
+        if lattice:
+            values = np.array(ints, dtype=float) / 8.0
+        else:
+            rng = np.random.default_rng(seed)
+            values = np.array([centers[i % len(centers)] for i in ints]) + rng.normal(0.0, spread, len(ints))
+        grid_max = float(np.ptp(values)) or 1.0
+        est = select_scheme(values, grid_max=grid_max, m=m, seed=seed, min_cluster=min_cluster)
+        points, curve, excluded, chosen = _reference_select(values, grid_max, m, seed, min_cluster)
+        for scheme, (clusters, modes, probs, spread_sum) in zip(est.trace.schemes, points):
+            assert scheme.clusters == clusters
+            assert scheme.r_hat == len(clusters)
+            assert np.array_equal(scheme.mode_estimates, modes)
+            assert np.array_equal(scheme.prob_estimates, probs)
+            assert scheme.icsd == spread_sum
+        assert np.array_equal(est.trace.icsd_curve, curve)
+        assert np.array_equal(est.trace.excluded, excluded)
+        assert est.trace.chosen_index == chosen
+        assert est.r_hat == len(points[chosen][0])
+        assert np.array_equal(est.modes, points[chosen][1])
+
+    def test_proofs_stop_at_the_first_split(self, monkeypatch, two_groups):
+        # the walk goes from the largest epsilon down; from the first point
+        # that splits, every smaller one goes straight to eigh
+        calls = []
+        real = selection.estimate_at_epsilon
+
+        def recorded(values, eps, seed=0, **kwargs):
+            scheme = real(values, eps, seed=seed, **kwargs)
+            calls.append((eps, kwargs["prove_one"], scheme.r_hat))
+            return scheme
+
+        monkeypatch.setattr(selection, "estimate_at_epsilon", recorded)
+        est = select_scheme(two_groups, m=10, grid_max=1.0, seed=0)
+        assert [c[0] for c in calls] == list(est.trace.grid[::-1])
+        first_split = next(i for i, c in enumerate(calls) if c[2] > 1)
+        assert 0 < first_split < len(calls) - 1
+        assert [c[1] for c in calls] == [True] * (first_split + 1) + [False] * (len(calls) - first_split - 1)
 
 
 def _scheme_seed(seed, k, m):

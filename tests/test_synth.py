@@ -186,9 +186,10 @@ class TestFbmPath:
 
 class TestMixingMatrix:
     def test_haar_orthogonal(self):
-        m = MixingMatrix.haar(16, seed=2)
-        assert np.max(np.abs(m.matrix @ m.matrix.T - np.eye(16))) < 1e-10
-        assert abs(abs(np.linalg.det(m.matrix)) - 1.0) < 1e-10
+        for p, seed in ((16, 2), (64, 0)):
+            m = MixingMatrix.haar(p, seed=seed)
+            assert np.max(np.abs(m.matrix @ m.matrix.T - np.eye(p))) < 1e-10
+            assert abs(abs(np.linalg.det(m.matrix)) - 1.0) < 1e-10
 
     def test_haar_not_a_fixed_slice(self):
         # sign correction makes the factor Haar rather than QR-skewed:
@@ -206,10 +207,6 @@ class TestGenPanel:
         assert np.array_equal(h, [0.5, 0.5, 0.5])
         inc = np.diff(panel.data, axis=1)
         assert np.allclose(np.var(inc, axis=1), 1.0, rtol=0.15)
-
-    def test_orthogonal_mix_gram(self):
-        m = MixingMatrix.haar(64, seed=0)
-        assert np.max(np.abs(m.matrix @ m.matrix.T - np.eye(64))) < 1e-10
 
     def test_reproducible_bitwise(self):
         dist = HurstDistribution.uniform([0.25, 0.35])
@@ -313,9 +310,12 @@ class TestRowPool:
         assert result[0][0].data.tobytes() == ref.tobytes()
 
     def test_worker_cap_without_threads(self, monkeypatch):
+        # one worker per CPU, at most one per six rows
         monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
-        assert _row_workers(3) == 3
-        assert _row_workers(20_000) == 10_000
+        assert _row_workers(3) == 1
+        assert _row_workers(12) == 2
+        assert _row_workers(20_000) == 3_333
+        assert _row_workers(60_000) == 10_000
         monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {5})
         assert _row_workers(64) == 1
 
@@ -325,7 +325,23 @@ class TestRowPool:
         assert _row_workers(64) == 1
         monkeypatch.setattr(synth.os, "cpu_count", lambda: 6)
         assert _row_workers(64) == 6
-        assert _row_workers(4) == 4
+        assert _row_workers(24) == 4
+        assert _row_workers(4) == 1
+
+    def test_peak_memory_bounded_by_panel_at_eight_cpus(self, monkeypatch):
+        # each row in flight holds ~48 bytes per sample: with one worker per
+        # CPU, 8 rows of 2^18 would hold 84 MiB next to a 32 MiB panel
+        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        p, n = 16, 2**18
+        for H in self.DIST.modes:  # the cached weights are not the panel's
+            synth._embedding_sqrt_eigs(H, n)
+        tracemalloc.start()
+        try:
+            panel, _ = gen_panel(self.DIST, p, n, seed=37)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * panel.data.nbytes
 
     def test_threads_joined_after_return(self, monkeypatch):
         monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
