@@ -208,6 +208,19 @@ class TestGenPanel:
         inc = np.diff(panel.data, axis=1)
         assert np.allclose(np.var(inc, axis=1), 1.0, rtol=0.15)
 
+    def test_orthogonal_mix_gram(self):
+        # the panel is Q X with Q = MixingMatrix.haar(p, seed) and X the
+        # latent fBm rows: Q^T undoes the mix, and the Gram spectrum is X's
+        p, n, seed = 64, 256, 0
+        dist = HurstDistribution.uniform([0.25, 0.75])
+        panel, h = gen_panel(dist, p, n, seed=seed)
+        x = np.stack([fbm_path(h[i], n, rng=synth.subseed(seed, 2, i)) for i in range(p)])
+        q = MixingMatrix.haar(p, seed=seed).matrix
+        assert np.allclose(q.T @ panel.data, x, rtol=0, atol=1e-9 * np.abs(x).max())
+        gy = np.linalg.eigvalsh(panel.data @ panel.data.T)
+        gx = np.linalg.eigvalsh(x @ x.T)
+        assert np.allclose(gy, gx, rtol=1e-9, atol=1e-9 * gx.max())
+
     def test_reproducible_bitwise(self):
         dist = HurstDistribution.uniform([0.25, 0.35])
         p1, h1 = gen_panel(dist, 8, 512, seed=13)
