@@ -28,7 +28,6 @@ from .synth import (
     HurstDistribution,
     MixingMatrix,
     Panel,
-    fbm_covariance,
     fbm_path,
     gen_panel,
     sample_hurst,
@@ -42,7 +41,7 @@ __all__ = [
     "EstimationResult", "ExperimentSpec", "FilterBank", "GmmFit", "HurstDistribution",
     "MixingMatrix", "Panel", "PipelineConfig", "RepRecord", "SelectionTrace", "SweepResult",
     "WaveletDecomposition", "WaveletRandomMatrix", "daubechies", "decompose", "eigengap_count",
-    "epsilon_graph", "estimate_at_epsilon", "fbm_covariance", "fbm_path", "fit_gmm", "gen_panel",
+    "epsilon_graph", "estimate_at_epsilon", "fbm_path", "fit_gmm", "gen_panel",
     "heuristic_m", "icsd", "kmeans", "laplacian_spectrum", "log_eigen",
     "log_eigen_multiscale", "max_octave", "read_panel_csv", "run_pipeline", "run_rep",
     "run_sweep", "sample_hurst", "select_gmm", "select_scheme", "standardize",

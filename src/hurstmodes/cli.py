@@ -250,15 +250,10 @@ def _write_sweep_csv(rows, path) -> None:
 def cmd_sweep(args) -> int:
     result = run_sweep(parse_sweep_spec(args.spec))
     base = args.output or "sweep"
-    wrote = []
-    if args.format in ("csv", "both"):
-        _write_sweep_csv(result.rows, base + ".csv")
-        wrote.append(base + ".csv")
-    if args.format in ("json", "both"):
-        records = [{**o, "records": [vars(r) for r in o["records"]]} for o in result.rep_records]
-        _dump_json({"schema": SCHEMA, "rows": result.rows, "records": records}, base + ".json")
-        wrote.append(base + ".json")
-    sys.stderr.write("wrote " + ", ".join(wrote) + "\n")
+    _write_sweep_csv(result.rows, base + ".csv")
+    records = [{**o, "records": [vars(r) for r in o["records"]]} for o in result.rep_records]
+    _dump_json({"schema": SCHEMA, "rows": result.rows, "records": records}, base + ".json")
+    sys.stderr.write(f"wrote {base}.csv, {base}.json\n")
     return 0
 
 
@@ -279,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subs.add_parser("sweep", help="run a Monte Carlo sweep from a spec file")
     sweep.add_argument("--spec", required=True, help="flat key-value experiment description")
-    sweep.add_argument("--output", default=None, help="output base path (writes .csv/.json)")
-    sweep.add_argument("--format", default="both", choices=("csv", "json", "both"))
+    sweep.add_argument("--output", default=None, help="base path of the .csv and .json written (default: sweep)")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

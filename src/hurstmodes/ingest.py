@@ -156,7 +156,6 @@ def _read_plain(path, time_column) -> Panel | None:
     if width == start:
         return None
     data = np.ascontiguousarray(body[:, start:].T)
-    del body  # freed before Panel's finiteness check allocates its mask
     return Panel(data, series=tuple(_names(header)[start:]))
 
 

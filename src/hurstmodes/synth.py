@@ -6,8 +6,7 @@ fBm paths use circulant embedding of the increment process (Davies & Harte
 Hermitian and the path real, so synthesis works on the half spectrum only: the
 n+1 distinct circulant eigenvalues come from one real transform of the
 autocovariance and are cached per (H, n) as n+1 scaled weights, and each path
-is one inverse real FFT of length 2n.  A Cholesky factorization of the full
-covariance is kept as the small-n test oracle.
+is one inverse real FFT of length 2n.
 
 The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
@@ -35,7 +34,6 @@ __all__ = [
     "HurstDistribution",
     "MixingMatrix",
     "Panel",
-    "fbm_covariance",
     "fbm_path",
     "gen_panel",
     "sample_hurst",
@@ -169,13 +167,6 @@ def fgn_autocovariance(H: float, n: int) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def fbm_covariance(H: float, n: int) -> np.ndarray:
-    """Covariance matrix of (B_H(1), ..., B_H(n)): (|s|^2H + |t|^2H - |t-s|^2H)/2."""
-    t = np.arange(1, n + 1, dtype=float)
-    s, u = np.meshgrid(t, t, indexing="ij")
-    return 0.5 * (s ** (2.0 * H) + u ** (2.0 * H) - np.abs(s - u) ** (2.0 * H))
-
-
 # the transform of the embedded autocovariance is deterministic and reused
 # across paths for the same mode; callers must not write to the weights
 @lru_cache(maxsize=64)
@@ -212,15 +203,6 @@ def _fgn_from_noise(z: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     np.negative(z[n + 1 :], out=c.imag[1:n])
     c *= weights
     return np.fft.irfft(c, 2 * n, norm="forward")[:n]
-
-
-def _fgn_cholesky(H: float, n: int, z: np.ndarray) -> np.ndarray:
-    """Exact fGn by Cholesky of the n x n covariance: O(n^2) memory, test oracle only."""
-    cov = np.empty((n, n))
-    gamma = fgn_autocovariance(H, n)
-    for i in range(n):
-        cov[i, :] = gamma[np.abs(np.arange(n) - i)]
-    return np.linalg.cholesky(cov) @ z[:n]
 
 
 def _path(rng: np.random.Generator, weights: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hurstmodes import (
     DataError,
     HurstDistribution,
+    MixingMatrix,
     Panel,
     PipelineConfig,
     gen_panel,
@@ -44,6 +45,16 @@ def block_reads(monkeypatch):
     calls = []
     monkeypatch.setattr(ingest, "_read_blocks", lambda *args: calls.append(args) or _read_blocks(*args))
     return calls
+
+
+def cointegrated_csv(path, rep, p=32, k=8, n=2**13):
+    """The shape of a cointegration study: k random-walk rows (statistic
+    0.5) and p - k white-noise rows (statistic -0.5), mixed by the Haar
+    matrix of rep, written as a CSV."""
+    z = np.random.default_rng([rep, 7]).standard_normal((p, n))
+    np.cumsum(z[:k], axis=1, out=z[:k])
+    np.savetxt(path, (MixingMatrix.haar(p, rep).matrix @ z).T, fmt="%.17g", delimiter=",",
+               header=",".join(f"s{i}" for i in range(p)), comments="")
 
 
 @pytest.fixture
@@ -584,6 +595,35 @@ class TestCliEstimate:
         assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": message}
         assert read == []
 
+    # column 0 is a random walk, numeric, so only its header tells "auto"
+    # that it is a time index; --time-column yes and no override the header
+    @pytest.mark.parametrize("header0, flag, p", [
+        ("", "auto", 4), ("", "yes", 4), ("", "no", 5),
+        ("t", "auto", 5), ("t", "no", 5), ("t", "yes", 4),
+    ])
+    def test_time_column_flag(self, tmp_path, rng, header0, flag, p):
+        path = tmp_path / "indexed.csv"
+        write_panel_csv(path, np.cumsum(rng.standard_normal((5, 1024)), axis=1),
+                        names=[header0, "s0", "s1", "s2", "s3"])
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--input", str(path), "--time-column", flag,
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["p"] == p
+
+    @pytest.mark.parametrize("rep", range(5))
+    def test_cointegration_shape(self, tmp_path, rep):
+        # 8 common trends among 32 series: two clusters, the upper one
+        # holding exactly the 8 random-walk directions.  At n = 2^13 the
+        # upper mode reads 0.41 to 0.44 over reps 0-19, the lower -0.51 to -0.50
+        path = tmp_path / "coint.csv"
+        cointegrated_csv(path, rep)
+        out = tmp_path / "coint.json"
+        assert main(["estimate", "--input", str(path), "--output", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["r_hat"] == 2
+        assert result["probs"][1] == 8 / 32
+        assert result["modes"] == pytest.approx([-0.5, 0.5], abs=0.1)
+
     def test_usage_tells_grid_size_from_bound(self, capsys):
         with pytest.raises(SystemExit):
             main(["estimate", "--help"])
@@ -623,11 +663,13 @@ class TestCliSpectrum:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert read == []
 
-    @pytest.mark.parametrize("subcommand, fmt", [("estimate", "json"), ("spectrum", "csv")])
+    @pytest.mark.parametrize("subcommand, fmt", [("estimate", "json"), ("spectrum", "csv"), ("sweep", "csv")])
     def test_format_flag_rejected(self, fbm_csv, subcommand, fmt):
-        # only sweep writes tables; estimate and spectrum always print JSON
+        # estimate and spectrum always print JSON; sweep always writes both
+        # its CSV and its JSON
+        source = "--spec" if subcommand == "sweep" else "--input"
         with pytest.raises(SystemExit) as exc:
-            main([subcommand, "--input", str(fbm_csv), "--format", fmt])
+            main([subcommand, source, str(fbm_csv), "--format", fmt])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--m", "--M", "--min-cluster"])
@@ -639,7 +681,7 @@ class TestCliSpectrum:
 
 
 class TestCliSweep:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, capsys):
         spec = tmp_path / "sweep.txt"
         spec.write_text(
             "# tiny smoke sweep\n"
@@ -666,6 +708,7 @@ class TestCliSweep:
         payload = json.loads((tmp_path / "out.json").read_text())
         assert payload["schema"] == "wrmsm/1"
         assert len(payload["records"]) == 4  # 2 configs x 2 reps
+        assert capsys.readouterr().err == f"wrote {base}.csv, {base}.json\n"
 
     def test_unknown_key_exit_2(self, tmp_path):
         spec = tmp_path / "bad.txt"
@@ -739,7 +782,7 @@ class TestCliSweep:
         spec.write_text("family = bimodal\ndeltas = 0.3\nn = 2048\np = 4\nj1 = 2\nj2 = 4\n"
                         "reps = 1\nmethods = spectral\n")
         base = tmp_path / "out"
-        assert main(["sweep", "--spec", str(spec), "--output", str(base), "--format", "json"]) == 0
+        assert main(["sweep", "--spec", str(spec), "--output", str(base)]) == 0
         assert [r["method"] for r in json.loads((tmp_path / "out.json").read_text())["rows"]] == ["spectral"]
 
     def test_spec_defaults(self, tmp_path):
@@ -774,8 +817,7 @@ class TestCliSweep:
             "n = 2048\np = 8\nj1 = 2\nj2 = 4\nreps = 1\nmethods = spectral\nseed = 2\n"
         )
         base = tmp_path / "c"
-        assert main(["sweep", "--spec", str(spec), "--output", str(base),
-                     "--format", "csv"]) == 0
+        assert main(["sweep", "--spec", str(spec), "--output", str(base)]) == 0
         with open(str(base) + ".csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["true_r"] == "2"

@@ -10,7 +10,6 @@ from hurstmodes import (
     PipelineConfig,
     daubechies,
     decompose,
-    fbm_covariance,
     gen_panel,
     heuristic_m,
     log_eigen,
@@ -20,6 +19,7 @@ from hurstmodes import (
 from hurstmodes.harness import log_eigen_set
 from hurstmodes.wavelet import WaveletDecomposition
 
+from test_synth import fbm_covariance
 from test_wavelet import reference_pyramid
 
 

@@ -13,7 +13,6 @@ from hurstmodes import (
     HurstDistribution,
     MixingMatrix,
     Panel,
-    fbm_covariance,
     fbm_path,
     gen_panel,
     sample_hurst,
@@ -21,7 +20,6 @@ from hurstmodes import (
 from hurstmodes import synth
 from hurstmodes.synth import (
     _embedding_sqrt_eigs,
-    _fgn_cholesky,
     _fgn_from_noise,
     _row_workers,
     fgn_autocovariance,
@@ -37,6 +35,21 @@ def make_indefinite(monkeypatch, bad_h):
     monkeypatch.setattr(synth, "fgn_autocovariance",
                         lambda H, n: np.eye(1, n, 1)[0] if H == bad_h else real(H, n))
     synth._embedding_sqrt_eigs.cache_clear()
+
+
+def fbm_covariance(H, n):
+    """Covariance matrix of (B_H(1), ..., B_H(n)): (|s|^2H + |t|^2H - |t-s|^2H)/2."""
+    t = np.arange(1, n + 1, dtype=float)
+    s, u = np.meshgrid(t, t, indexing="ij")
+    return 0.5 * (s ** (2.0 * H) + u ** (2.0 * H) - np.abs(s - u) ** (2.0 * H))
+
+
+def fgn_cholesky(H, n, z):
+    """Exact fGn from n normals z by Cholesky of the n x n covariance: an
+    O(n^2)-memory oracle for the circulant embedding at small n."""
+    gamma = fgn_autocovariance(H, n)
+    cov = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+    return np.linalg.cholesky(cov) @ z[:n]
 
 
 class TestHurstDistribution:
@@ -134,8 +147,8 @@ class TestFbmPath:
 
     def test_non_psd_embedding_raises_without_dense_fallback(self, monkeypatch):
         make_indefinite(monkeypatch, 0.7)
-        monkeypatch.setattr(synth, "_fgn_cholesky",
-                            lambda H, n, z: pytest.fail("built the n x n covariance"))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda *args, **kwargs: pytest.fail("factored the n x n covariance"))
         with pytest.raises(ConfigError, match="not PSD"):
             fbm_path(0.7, 64, seed=0)
 
@@ -151,7 +164,7 @@ class TestFbmPath:
     def test_cholesky_matches_embedding_distribution(self):
         # same normals, same marginal variance behavior at modest tolerance
         var_e = np.var([fbm_path(0.6, 64, seed=s)[-1] for s in range(4000)])
-        var_c = np.var([np.cumsum(_fgn_cholesky(0.6, 64, subseed(s, 2, 0).standard_normal(128)))[-1]
+        var_c = np.var([np.cumsum(fgn_cholesky(0.6, 64, subseed(s, 2, 0).standard_normal(128)))[-1]
                         for s in range(4000)])
         assert var_e == pytest.approx(64 ** 1.2, rel=0.1)
         assert var_c == pytest.approx(64 ** 1.2, rel=0.1)
