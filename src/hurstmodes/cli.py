@@ -94,6 +94,8 @@ def _read_panel(args):
     estimate and spectrum share.  Returns the config and the panel."""
     if args.bins < 1:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     cfg = _pipeline_config(vars(args))
     time_column = {"auto": "auto", "yes": True, "no": False}[args.time_column]
     return cfg, standardize(read_panel_csv(args.input, time_column=time_column))
@@ -248,8 +250,12 @@ def _write_sweep_csv(rows, path) -> None:
 
 
 def cmd_sweep(args) -> int:
-    result = run_sweep(parse_sweep_spec(args.spec))
+    spec = parse_sweep_spec(args.spec)
     base = args.output or "sweep"
+    # an output that cannot be created fails before the first replication
+    for path in (base + ".csv", base + ".json"):
+        open(path, "a").close()
+    result = run_sweep(spec)
     _write_sweep_csv(result.rows, base + ".csv")
     records = [{**o, "records": [vars(r) for r in o["records"]]} for o in result.rep_records]
     _dump_json({"schema": SCHEMA, "rows": result.rows, "records": records}, base + ".json")

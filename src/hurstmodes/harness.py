@@ -88,11 +88,11 @@ def log_eigen_set(panel, config: PipelineConfig):
     """
     bank = daubechies(config.n_vanishing)
     if config.multiscale is not None:
-        decomp = decompose(panel, bank, config.total_octave, config.multiscale[0])
+        decomp = decompose(panel.data, bank, config.total_octave, config.multiscale[0])
         h_set = log_eigen_multiscale(decomp, *config.multiscale)
         auto_m = float(h_set[-1] - h_set[0])
     else:
-        decomp = decompose(panel, bank, config.total_octave, config.total_octave)
+        decomp = decompose(panel.data, bank, config.total_octave, config.total_octave)
         wrm = wavelet_random_matrix(decomp, config.total_octave)
         h_set = log_eigen(wrm, config.a)
         auto_m = heuristic_m(wrm, config.a)
@@ -148,6 +148,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("methods must name at least one of spectral, gmm")
         for method in self.methods:
@@ -221,12 +223,6 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
     rep_records: list[dict] = field(default_factory=list)
 
-    def proportion(self, config_label: str, method: str) -> float:
-        for row in self.rows:
-            if row["config"] == config_label and row["method"] == method:
-                return row["proportion_correct"]
-        raise KeyError((config_label, method))
-
 
 def run_sweep(spec: ExperimentSpec) -> SweepResult:
     """All replications of all configs; failures are counted and excluded,
@@ -261,5 +257,4 @@ def _mean(xs):
 
 
 def _rmse(xs):
-    xs = [x for x in xs if x is not None]
     return float(np.sqrt(np.mean(np.square(xs)))) if xs else None

@@ -20,7 +20,6 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .synth import Panel
 
 __all__ = [
     "FilterBank",
@@ -38,7 +37,6 @@ _MAX_ORDER = 10
 class FilterBank:
     """Conjugate quadrature pair: unit-norm lowpass u and highpass v_k = (-1)^k u_{T-1-k}."""
 
-    n_vanishing: int
     lowpass: np.ndarray
     highpass: np.ndarray
 
@@ -119,7 +117,7 @@ def daubechies(n_vanishing: int) -> FilterBank:
 def _bank(n_vanishing: int) -> FilterBank:
     u = _daubechies_polish(_daubechies_initial(n_vanishing), n_vanishing)
     v = ((-1.0) ** np.arange(len(u))) * u[::-1]
-    return FilterBank(n_vanishing, u, v)
+    return FilterBank(u, v)
 
 
 def _window(n: int, support_length: int, octave: int) -> tuple[int, int]:
@@ -161,8 +159,8 @@ class WaveletDecomposition:
         return self.details[octave]
 
 
-def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) -> WaveletDecomposition:
-    """Pyramidal analysis of a panel, keeping the details of octaves j_min..j_max.
+def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) -> WaveletDecomposition:
+    """Pyramidal analysis of a p x n array, keeping the details of octaves j_min..j_max.
 
     Octave 0 approximations are the raw samples; each coarser octave comes
     from the downsampled low/high-pass recursion (Percival & Walden 2000,
@@ -171,22 +169,22 @@ def decompose(panel: Panel | np.ndarray, bank: FilterBank, j_max: int, j_min: in
     border-free window, stored as a C-contiguous p x n_j array.  Each row
     runs the whole cascade before the next starts, so its approximations
     are 1-D temporaries and memory peaks at the kept details plus one row's
-    temporaries.  Raises ConfigError naming the first octave for which the
-    series is too short.
+    temporaries.  Raises ConfigError when j_max is past max_octave, naming
+    the first short octave, max_octave + 1 (no shallower octave is short).
     """
-    data = panel.data if isinstance(panel, Panel) else np.atleast_2d(np.asarray(panel, dtype=float))
+    data = np.atleast_2d(np.asarray(data, dtype=float))
     p, n = data.shape
     t = bank.support_length
     if j_max < 1:
         raise ConfigError(f"j_max must be >= 1, got {j_max}")
     if not 1 <= j_min <= j_max:
         raise ConfigError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    for j in range(1, j_max + 1):
-        if trimmed_count(n, t, j) < 1:
-            raise ConfigError(
-                f"series of length {n} leaves no border-free coefficients at octave {j} "
-                f"(filter support {t}); deepest usable octave is {max_octave(n, t)}"
-            )
+    usable = max_octave(n, t)
+    if j_max > usable:
+        raise ConfigError(
+            f"series of length {n} leaves no border-free coefficients at octave {usable + 1} "
+            f"(filter support {t}); deepest usable octave is {usable}"
+        )
 
     u_rev = bank.lowpass[::-1]
     v_rev = bank.highpass[::-1]

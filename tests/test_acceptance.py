@@ -89,7 +89,8 @@ class TestCriterion1BimodalCurve:
 
 class TestCriterion2UnimodalControl:
     def test_both_methods_identify_single_mode(self, bimodal_sweep):
-        props = {m: bimodal_sweep.proportion("delta=0", m) for m in ("spectral", "gmm")}
+        props = {row["method"]: row["proportion_correct"]
+                 for row in bimodal_sweep.rows if row["config"] == "delta=0"}
         ok = props["spectral"] >= 0.9 and props["gmm"] >= 0.9
         report(2, ok, f"proportion(r_hat=1) at delta=0: spectral={props['spectral']:.3f}, "
                       f"gmm={props['gmm']:.3f} (both required >= 0.9)")

@@ -237,7 +237,7 @@ def _estimation_result():
 # __eq__ would ask numpy for the truth value of an array
 _ARRAY_HOLDERS = {
     "WaveletRandomMatrix": lambda: WaveletRandomMatrix(np.eye(3), 1, 4),
-    "FilterBank": lambda: FilterBank(1, np.ones(2) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
+    "FilterBank": lambda: FilterBank(np.ones(2) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)),
     "MixingMatrix": lambda: MixingMatrix(np.eye(3)),
     "Panel": lambda: Panel(np.zeros((2, 4))),
     "WaveletDecomposition": lambda: WaveletDecomposition({1: np.zeros((2, 3))}, 8),

@@ -663,6 +663,17 @@ class TestCliSpectrum:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert read == []
 
+    @pytest.mark.parametrize("subcommand", ["estimate", "spectrum"])
+    def test_negative_seed_exit_2_before_reading(self, fbm_csv, monkeypatch, capsys, subcommand):
+        # np.random.SeedSequence takes no negative entropy; the flag is
+        # rejected with the other settings, not in a traceback
+        read = []
+        monkeypatch.setattr(cli, "read_panel_csv", lambda *args, **kwargs: read.append(args))
+        assert main([subcommand, "--input", str(fbm_csv), "--seed", "-1"]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "config", "message": "seed must be >= 0, got -1"}
+        assert read == []
+
     @pytest.mark.parametrize("subcommand, fmt", [("estimate", "json"), ("spectrum", "csv"), ("sweep", "csv")])
     def test_format_flag_rejected(self, fbm_csv, subcommand, fmt):
         # estimate and spectrum always print JSON; sweep always writes both
@@ -742,6 +753,7 @@ class TestCliSweep:
         ("family = bimodal\nmodes = 0.2,0.8\n", "keys for family 'bimodal': modes"),
         ("methods = gmm,spectral,gmm\n", "methods must not repeat, got ('gmm', 'spectral', 'gmm')"),
         ("p = 1\n", "panel dimension p must be >= 2, got 1"),
+        ("seed = -3\n", "seed must be >= 0, got -3"),
         ("fixed_mix = true\n", "unrecognized sweep spec keys for family 'bimodal': fixed_mix"),
         ("family = bimodal\nn = 2048\np = 8\n\n# again\nn = 4096\n",
          "sweep spec key 'n' repeated at lines 2 and 6"),
@@ -754,6 +766,13 @@ class TestCliSweep:
         assert main(["sweep", "--spec", str(spec)]) == 2
         assert message in json.loads(capsys.readouterr().err.strip())["message"]
         assert ran == []
+
+    @staticmethod
+    def _forbid_synthesis(monkeypatch):
+        def gen_panel(*args, **kwargs):
+            raise AssertionError("a panel was synthesized")
+
+        monkeypatch.setattr(harness, "gen_panel", gen_panel)
 
     @pytest.mark.parametrize("lines, message", [
         ("deltas = 0,0.1\nn = 200\np = 10\nj = 1\na = 8\nreps = 3",
@@ -768,14 +787,24 @@ class TestCliSweep:
     def test_unrunnable_geometry_exit_2_before_synthesis(self, tmp_path, monkeypatch, capsys, lines, message):
         # every replication of these specs would fail in decompose or
         # wavelet_random_matrix, so the spec fails before any panel is made
-        def gen_panel(*args, **kwargs):
-            raise AssertionError("a panel was synthesized")
-
-        monkeypatch.setattr(harness, "gen_panel", gen_panel)
+        self._forbid_synthesis(monkeypatch)
         spec = tmp_path / "geometry.txt"
         spec.write_text(f"family = bimodal\n{lines}\n")
         assert main(["sweep", "--spec", str(spec)]) == 2
         assert json.loads(capsys.readouterr().err.strip()) == {"error": "config", "message": message}
+
+    def test_missing_output_directory_exit_3_before_synthesis(self, tmp_path, monkeypatch, capsys):
+        # the outputs are created before the first replication, so a bad
+        # --output costs no run
+        self._forbid_synthesis(monkeypatch)
+        spec = tmp_path / "tiny.txt"
+        spec.write_text("family = bimodal\ndeltas = 0\nn = 2048\np = 8\nj1 = 2\nj2 = 4\nreps = 1\n")
+        missing = tmp_path / "missing"
+        assert main(["sweep", "--spec", str(spec), "--output", str(missing / "sweep")]) == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "data"
+        assert str(missing / "sweep.csv") in error["message"]
+        assert not missing.exists()
 
     def test_spectral_only_spec_takes_p_below_gmm_minimum(self, tmp_path):
         spec = tmp_path / "spectral.txt"

@@ -285,7 +285,8 @@ class TestDecompose:
             np.testing.assert_allclose(moved.details[j], base.details[j][:, shift:], rtol=0, atol=1e-12)
 
     def test_insufficient_length_names_octave(self):
-        with pytest.raises(ConfigError, match="octave"):
+        # the first short octave, not j_max
+        with pytest.raises(ConfigError, match=r"at octave 4 \(filter support 4\); deepest usable octave is 3$"):
             decompose(np.zeros((1, 64)), daubechies(2), 6)
 
     def test_haar_white_noise_energy(self, rng):
