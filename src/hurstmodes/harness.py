@@ -19,7 +19,7 @@ from .gmm import K_MAX, select_gmm
 from .scaling import heuristic_m, log_eigen, log_eigen_multiscale, wavelet_random_matrix
 from .selection import EstimationResult, select_scheme
 from .synth import HurstDistribution, gen_panel, subseed
-from .wavelet import daubechies, decompose, max_octave, trimmed_count
+from .wavelet import daubechies, decompose, require_depth, trimmed_count
 
 __all__ = [
     "ExperimentSpec",
@@ -165,12 +165,7 @@ class ExperimentSpec:
         # so this also keeps p below n/(a 2^j), as the moderately
         # high-dimensional regime assumes
         support, deepest = daubechies(cfg.n_vanishing).support_length, cfg.total_octave
-        usable = max_octave(cfg.n, support)
-        if deepest > usable:
-            raise ConfigError(
-                f"series of length {cfg.n} leaves no border-free coefficients at octave {deepest} "
-                f"(filter support {support}); deepest usable octave is {usable}"
-            )
+        require_depth(cfg.n, support, deepest)
         n_j = trimmed_count(cfg.n, support, deepest)
         if cfg.p > n_j:
             raise ConfigError(

@@ -21,7 +21,6 @@ only p x n array gen_panel holds.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
+from .wavelet import _cpu_count
 
 __all__ = [
     "HurstDistribution",
@@ -229,11 +229,7 @@ def _row_workers(p: int) -> int:
     """Threads for p rows: one per CPU this process may run on, and at most
     one per _ROWS_PER_WORKER rows, so the rows in flight never hold more
     temporaries than the p x n panel holds."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, max(1, p // _ROWS_PER_WORKER))
+    return min(_cpu_count(), max(1, p // _ROWS_PER_WORKER))
 
 
 _BLOCK = 4096  # panel columns mixed per matrix product

@@ -9,10 +9,20 @@ the octaves a statistic reads are kept, each as a C-contiguous p x n_j
 array; the pyramid computes no high-pass below them and none deeper.  The
 cascade runs one series at a time through every octave, so the only p-row
 arrays it allocates are the kept detail matrices.
+
+Rows of 2^16 samples or more run on k threads, one per CPU the process
+may run on and at most one per row, thread w taking rows w, w + k, ...:
+np.convolve releases the GIL inside its loop.  On shorter rows each call
+holds the GIL about as long as it computes, so those run on the calling
+thread.  Each row writes only its own row of each detail matrix, by the
+same operations on any thread, so the details are bitwise the same for any
+number of threads.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -27,6 +37,7 @@ __all__ = [
     "daubechies",
     "decompose",
     "max_octave",
+    "require_depth",
     "trimmed_count",
 ]
 
@@ -144,6 +155,39 @@ def max_octave(n: int, support_length: int) -> int:
     return j
 
 
+def require_depth(n: int, support_length: int, j_max: int) -> None:
+    """ConfigError unless a series of length n keeps border-free coefficients
+    at every octave up to j_max.  It names the first short octave,
+    max_octave + 1: a coefficient at octave j + 1 implies one at j."""
+    usable = max_octave(n, support_length)
+    if j_max > usable:
+        raise ConfigError(
+            f"series of length {n} leaves no border-free coefficients at octave {usable + 1} "
+            f"(filter support {support_length}); deepest usable octave is {usable}"
+        )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, or os.cpu_count()
+    where the platform has none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# below this row length each np.convolve call holds the GIL about as long
+# as it computes, and a pool of rows measured no faster than one thread
+_POOL_MIN_LENGTH = 2**16
+
+
+def _cascade_workers(p: int, n: int, cpus: int) -> int:
+    """Threads for the row cascade: one per CPU, at most one per row, and
+    one when the rows are shorter than _POOL_MIN_LENGTH."""
+    if n < _POOL_MIN_LENGTH:
+        return 1
+    return max(1, min(cpus, p))
+
+
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
 class WaveletDecomposition:
     """Border-trimmed detail coefficients of the kept octaves for a p-row panel."""
@@ -167,24 +211,22 @@ def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) ->
     section 4.6).  The low-pass runs down to octave j_max - 1 and the
     high-pass only at the kept octaves; each kept detail matrix is the
     border-free window, stored as a C-contiguous p x n_j array.  Each row
-    runs the whole cascade before the next starts, so its approximations
-    are 1-D temporaries and memory peaks at the kept details plus one row's
-    temporaries.  Raises ConfigError when j_max is past max_octave, naming
-    the first short octave, max_octave + 1 (no shallower octave is short).
+    runs the whole cascade before its thread starts the next, so its
+    approximations are 1-D temporaries and memory peaks at the kept details
+    plus one row's temporaries per thread.  Raises ConfigError when j_max
+    is past max_octave (see require_depth), and DomainError when data is
+    not 2-D.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.ndim != 2:
+        raise DomainError(f"decompose needs a p x n array, got shape {data.shape}")
     p, n = data.shape
     t = bank.support_length
     if j_max < 1:
         raise ConfigError(f"j_max must be >= 1, got {j_max}")
     if not 1 <= j_min <= j_max:
         raise ConfigError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    usable = max_octave(n, t)
-    if j_max > usable:
-        raise ConfigError(
-            f"series of length {n} leaves no border-free coefficients at octave {usable + 1} "
-            f"(filter support {t}); deepest usable octave is {usable}"
-        )
+    require_depth(n, t, j_max)
 
     u_rev = bank.lowpass[::-1]
     v_rev = bank.highpass[::-1]
@@ -208,13 +250,24 @@ def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) ->
         steps.append((j, start, width, first))
         k0, length = k0_new, width
 
-    for i in range(p):
-        approx = data[i]
-        for j, start, width, first in steps:
-            if j >= j_min:
-                d = details[j]
-                d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
-            if j < j_max:
-                approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
+    def cascade(rows) -> None:
+        for i in rows:
+            approx = data[i]
+            for j, start, width, first in steps:
+                if j >= j_min:
+                    d = details[j]
+                    d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
+                if j < j_max:
+                    approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
+
+    workers = _cascade_workers(p, n, _cpu_count())
+    if workers == 1:
+        cascade(range(p))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # one task per worker, rows w, w + workers, ...: each row writes
+            # only its own row of each detail matrix
+            for _ in pool.map(cascade, (range(w, p, workers) for w in range(workers))):
+                pass
 
     return WaveletDecomposition(details, n)

@@ -779,7 +779,7 @@ class TestCliSweep:
          "p=10 exceeds the effective sample size n_j=8 at octave 4: "
          "every replication's matrix would be rank deficient"),
         ("n = 64\nj1 = 2\nj2 = 6",
-         "series of length 64 leaves no border-free coefficients at octave 6 (filter support 4); "
+         "series of length 64 leaves no border-free coefficients at octave 4 (filter support 4); "
          "deepest usable octave is 3"),
         ("n = 2048\np = 4\nj1 = 2\nj2 = 4",
          "method gmm needs p >= 2*k_max = 6 series, got p=4"),

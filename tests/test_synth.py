@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 import time
@@ -337,19 +338,19 @@ class TestRowPool:
 
     def test_worker_cap_without_threads(self, monkeypatch):
         # one worker per CPU, at most one per six rows
-        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
         assert _row_workers(3) == 1
         assert _row_workers(12) == 2
         assert _row_workers(20_000) == 3_333
         assert _row_workers(60_000) == 10_000
-        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: {5})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert _row_workers(64) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(synth.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _row_workers(64) == 1
-        monkeypatch.setattr(synth.os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert _row_workers(64) == 6
         assert _row_workers(24) == 4
         assert _row_workers(4) == 1
@@ -357,7 +358,7 @@ class TestRowPool:
     def test_peak_memory_bounded_by_panel_at_eight_cpus(self, monkeypatch):
         # each row in flight holds ~48 bytes per sample: with one worker per
         # CPU, 8 rows of 2^18 would hold 84 MiB next to a 32 MiB panel
-        monkeypatch.setattr(synth.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         p, n = 16, 2**18
         for H in self.DIST.modes:  # the cached weights are not the panel's
             synth._embedding_sqrt_eigs(H, n)

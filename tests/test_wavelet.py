@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstmodes import ConfigError, DomainError, daubechies, decompose, fbm_path, max_octave
-from hurstmodes.wavelet import trimmed_count
+from hurstmodes import wavelet
+from hurstmodes.wavelet import _POOL_MIN_LENGTH, _cascade_workers, trimmed_count
 
 SQRT2 = np.sqrt(2.0)
 
@@ -289,6 +293,10 @@ class TestDecompose:
         with pytest.raises(ConfigError, match=r"at octave 4 \(filter support 4\); deepest usable octave is 3$"):
             decompose(np.zeros((1, 64)), daubechies(2), 6)
 
+    def test_rejects_array_that_is_not_2d(self):
+        with pytest.raises(DomainError, match=r"p x n array, got shape \(2, 3, 4\)"):
+            decompose(np.zeros((2, 3, 4)), daubechies(1), 1)
+
     def test_haar_white_noise_energy(self, rng):
         # mean squared detail per octave tracks the input variance
         acc = {1: [], 2: []}
@@ -310,6 +318,85 @@ class TestDecompose:
             lv = [np.log2(np.mean(d.details[j] ** 2)) for j in range(2, 7)]
             slopes.append(np.polyfit(np.arange(2, 7), lv, 1)[0])
         assert np.mean(slopes) == pytest.approx(2 * H + 1, abs=0.15)
+
+
+class TestRowPool:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_details_bitwise_equal_for_any_worker_count(self, monkeypatch, rng, order):
+        # 7 rows split 4 + 3 over two workers and 3 + 2 + 2 over three
+        y = rng.standard_normal((7, _POOL_MIN_LENGTH))
+        bank = daubechies(order)
+        before = threading.active_count()
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(wavelet, "_cascade_workers", lambda p, n, cpus: workers)
+            runs.append(decompose(y, bank, 5, 2))
+        assert threading.active_count() == before
+        serial = runs[0].details
+        assert list(serial) == [2, 3, 4, 5]
+        for pooled in runs[1:]:
+            assert list(pooled.details) == list(serial)
+            for j, d in serial.items():
+                assert pooled.details[j].tobytes() == d.tobytes()
+
+    def test_stress_more_workers_than_cores(self, monkeypatch, rng):
+        # eight threads on 16 rows, switching as often as the interpreter
+        # allows: a row written twice, torn or lost changes the bytes
+        y = rng.standard_normal((16, _POOL_MIN_LENGTH))
+        bank = daubechies(2)
+        workers = [1]
+        monkeypatch.setattr(wavelet, "_cascade_workers", lambda p, n, cpus: workers[0])
+        ref = decompose(y, bank, 5, 2)
+        workers[0] = 8
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(decompose(y, bank, 5, 2)), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        for j, d in ref.details.items():
+            assert result[0].details[j].tobytes() == d.tobytes()
+
+    def test_short_rows_start_no_thread(self, monkeypatch, rng):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+        monkeypatch.setattr(wavelet, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a short-row call started a pool"))
+        decompose(rng.standard_normal((64, _POOL_MIN_LENGTH - 1)), daubechies(2), 5, 2)
+        # at full length one row, or none, is no work to share
+        for p in (0, 1):
+            decomp = decompose(np.zeros((p, _POOL_MIN_LENGTH)), daubechies(2), 5, 2)
+            assert decomp.details[5].shape[0] == p
+
+    def test_worker_rule_caps(self):
+        # one per CPU, at most one per row, one below the length threshold
+        long, short = _POOL_MIN_LENGTH, _POOL_MIN_LENGTH - 1
+        assert _cascade_workers(64, long, 10_000) == 64
+        assert _cascade_workers(64, long, 2) == 2
+        assert _cascade_workers(64, long, 1) == 1
+        assert _cascade_workers(64, short, 10_000) == 1
+        assert _cascade_workers(7, 2**20, 3) == 3
+        assert _cascade_workers(1, long, 8) == 1
+        assert _cascade_workers(0, long, 8) == 1  # ThreadPoolExecutor(0) raises
+
+    def test_pooled_peak_memory(self, monkeypatch, rng):
+        # each of four workers holds one row's temporaries (~3.3 rows of
+        # samples, measured serially) next to the kept details: ~0.6 x the
+        # panel measured, bounded at 0.47 + 4 x 4/32 = 0.97 x the panel
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 4)
+        y = rng.standard_normal((32, _POOL_MIN_LENGTH))
+        tracemalloc.start()
+        try:
+            decomp = decompose(y, daubechies(2), 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(d.nbytes for d in decomp.details.values())
+        assert kept < 0.47 * y.nbytes
+        assert peak < kept + 4 * 4 * y[0].nbytes
 
 
 def test_trimmed_count_examples():
