@@ -61,7 +61,6 @@ def _add_analysis_flags(sub: argparse.ArgumentParser, names) -> None:
     for name in names:
         kind, text = _SETTINGS[name]
         sub.add_argument("--" + name.replace("_", "-"), dest=name, metavar=name, type=kind, help=text)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
     sub.add_argument("--bins", type=int, default=16, help="histogram bins")
     sub.add_argument("--time-column", default="auto", choices=("auto", "yes", "no"),
@@ -94,8 +93,6 @@ def _read_panel(args):
     estimate and spectrum share.  Returns the config and the panel."""
     if args.bins < 1:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     cfg = _pipeline_config(vars(args))
     time_column = {"auto": "auto", "yes": True, "no": False}[args.time_column]
     return cfg, standardize(read_panel_csv(args.input, time_column=time_column))
@@ -115,12 +112,13 @@ def _analyze_panel(args, cfg, panel, affine: str = "h"):
         "n": panel.n,
         "h_values": h_set,
         "histogram": {"bin_edges": edges, "counts": counts, "affine": affine},
-        "seed": args.seed,
     }
     return grid_max, fields
 
 
 def cmd_estimate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     cfg, panel = _read_panel(args)
     # clustering needs two statistics, one per series: fail before decomposing
     if panel.p < 2:
@@ -145,6 +143,7 @@ def cmd_estimate(args) -> int:
         "m": cfg.m,
         "grid_max": grid_max,
         "min_cluster": cfg.min_cluster,
+        "seed": args.seed,
     })
     _dump_json(out, args.output)
     return 0
@@ -270,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = subs.add_parser("estimate", help="estimate the Hurst distribution of a panel CSV")
     _add_analysis_flags(est, _SETTINGS)
+    est.add_argument("--seed", type=int, default=0, help="seed of the k-means starts (at least 0)")
     est.set_defaults(func=cmd_estimate)
 
     spectrum = subs.add_parser("spectrum", help="emit the log-eigenvalue histogram of a panel CSV")

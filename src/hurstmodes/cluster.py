@@ -8,24 +8,20 @@ points.  The resulting partition is converted into mode estimates (cluster
 means), probabilities (cluster sizes / p) and the intra-cluster standard
 deviation used for model selection.
 
-A count of one needs no eigenvectors, so the count is decided by the
-cheapest of three tiers that settles it, each giving the count that eigh's
-eigenvalues give:
+A count of one needs no eigenvectors, so the count is decided by the first
+of two tiers that settles it, each giving the count eigh's eigenvalues give:
 
-1. Degrees alone.  With G' the complement graph and B the largest
-   d'_u + d'_v over its edges uv (0 without edges), L(G) + L(G') = pI - J
-   gives theta_1 = p - lambda_max(L(G')) >= p - B (Anderson & Morley 1985,
-   Linear Multilinear Algebra 18:141), and theta_max <= p bounds every gap
-   above theta_1 by p - theta_1.  When 2B <= p - 1 the first gap beats every
-   other by at least 1, far above eigh's rounding; degrees are integers, so
-   the test is exact.
-2. Eigenvalues alone (eigvalsh).  A count of one is accepted only when the
-   first gap beats every other by more than _GAP_MARGIN * max(1, theta_max),
-   over a million times the largest eigvalsh-eigh disagreement measured on
-   the acceptance and p=512 Laplacians (4.2e-15 * max(1, theta_max)); exact
-   ties of the top two gaps, which do occur there, and every other outcome
-   go on to tier 3.
-3. laplacian_spectrum (eigh), the count from its eigenvalues and k-means on
+1. The complement's eigenvalues.  With G' the complement graph,
+   L(G) + L(G') = pI - J (Merris 1994, Linear Algebra Appl. 197-198:143), so
+   L(G) has the eigenvalues 0 and p - nu, nu those of L(G') less one zero.
+   eigvalsh runs on L(G') at the q vertices with a non-neighbor, none if q = 0.
+   A count of one is accepted only when the first gap beats every other by
+   more than _GAP_MARGIN * max(1, theta_max), over 900,000 times the largest
+   disagreement with eigh on the acceptance and p=512 Laplacians (1.1e-14 *
+   max(1, theta_max); near-empty graphs, where nu is near p, reach 1.8e-12
+   at p = 512); exact ties of the top two gaps, which do occur there, and
+   every other outcome go on to tier 2.
+2. laplacian_spectrum (eigh), the count from its eigenvalues and k-means on
    the eigenvector rows.
 
 Where the top two gaps tie in exact arithmetic, eigh's rounding decides
@@ -56,7 +52,7 @@ __all__ = [
 ]
 
 _MAX_ITERS = 100  # Lloyd iterations before kmeans stops without converging
-_GAP_MARGIN = 1e-8  # tier 2's margin, relative to max(1, theta_max)
+_GAP_MARGIN = 1e-8  # tier 1's margin, relative to max(1, theta_max)
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -108,18 +104,23 @@ def eigengap_count(theta: np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def _count_is_one(adjacency: np.ndarray) -> bool:
-    """True when eigengap_count of L = D - A is proved to be 1 without
-    eigenvectors: by the complement's degree bound, else by eigvalsh with a
-    margin (tiers 1 and 2 of the module docstring).  False proves nothing."""
+def _complement_spectrum(adjacency: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of L = D - A from the complement graph (tier 1)."""
     p = len(adjacency)
-    degrees = adjacency.sum(axis=1)
-    co = (p - 1) - degrees  # complement degrees
-    pair = (co[:, None] + co[None, :]) * (adjacency == 0.0)  # on the complement's edges
-    np.fill_diagonal(pair, 0.0)
-    if 2.0 * pair.max() <= p - 1:
-        return True
-    theta = np.linalg.eigvalsh(np.diag(degrees) - adjacency)
+    co = adjacency == 0.0  # the complement's edges
+    np.fill_diagonal(co, False)
+    keep = co.any(axis=1)
+    sub = co[np.ix_(keep, keep)].astype(float)
+    nu = np.zeros(p - 1)  # L(G')'s eigenvalues less one zero
+    if len(sub):
+        nu[p - len(sub):] = np.linalg.eigvalsh(np.diag(sub.sum(axis=1)) - sub)[1:]
+    return np.sort(np.r_[0.0, p - nu])
+
+
+def _count_is_one(adjacency: np.ndarray) -> bool:
+    """True when eigengap_count of L = D - A is proved to be 1 by tier 1 of
+    the module docstring.  False proves nothing."""
+    theta = _complement_spectrum(adjacency)
     gaps = theta[1:] - theta[:-1]
     return gaps[0] - np.max(gaps[1:], initial=-np.inf) > _GAP_MARGIN * max(1.0, theta[-1])
 
@@ -194,12 +195,9 @@ def estimate_at_epsilon(h_set: np.ndarray, eps: float, seed: int = 0, *, prove_o
     permutes the clusters.
 
     The count is decided by the first tier of the module docstring that
-    settles it: the complement's degree bound, which is exact in integers;
-    eigvalsh with a margin far above its disagreement with eigh; otherwise
-    laplacian_spectrum.  The first two only ever prove a count of one, the
-    count eigh's eigenvalues give there, so every tier yields the same
-    scheme.  prove_one=False skips them and goes straight to
-    laplacian_spectrum; it changes the cost, never the result.
+    settles it.  Tier 1 only ever proves a count of one, the count eigh's
+    eigenvalues give there, so both tiers yield the same scheme.
+    prove_one=False skips tier 1; it changes the cost, never the result.
     """
     values = np.asarray(h_set, dtype=float)
     p = len(values)

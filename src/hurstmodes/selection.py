@@ -2,8 +2,8 @@
 
 The fixed-precision estimator runs at eps_k = k*M/m for k = 1..m and the
 scheme minimizing the intra-cluster standard deviation is selected.  The
-grid is walked from k = m down, and the eigenvector-free proofs of a count
-of one (see cluster) are tried only until the first point that splits.
+grid is walked from k = m down, and the eigenvector-free proof of a count
+of one (see cluster) is tried only until the first point that splits.
 Schemes containing clusters smaller than min_cluster are excluded from the
 argmin (singleton clusters minimize the ICSD trivially) but stay in the
 trace for diagnostics.

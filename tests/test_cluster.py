@@ -299,13 +299,20 @@ def _random_graph(p, density, seed):
 
 
 _graphs = st.builds(_random_graph, st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+# threshold graphs: lattice statistics carry ties and distances equal to eps
+_lattice_graphs = st.builds(
+    lambda ints, frac: epsilon_graph(np.array(ints) / 4.0, frac / 4.0),
+    st.lists(st.integers(0, 12), min_size=2, max_size=40), st.integers(1, 49))
+_gaussian_graphs = st.builds(
+    lambda p, seed, eps: epsilon_graph(np.random.default_rng(seed).standard_normal(p), eps),
+    st.integers(2, 40), st.integers(0, 2**32 - 1), st.floats(1e-3, 8.0))
 
 
 class TestCountProof:
-    """The eigenvector-free proofs that the eigengap count is 1."""
+    """The eigenvector-free proof that the eigengap count is 1."""
 
     def test_complete_graph_needs_no_eigen_call(self, monkeypatch):
-        # every pair within eps: the complement has no edge, so B = 0
+        # every pair within eps: the complement has no edge, so q = 0
         monkeypatch.setattr(np.linalg, "eigh", _no_eigen)
         monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigen)
         values = np.linspace(0.0, 1.0, 50)
@@ -329,7 +336,7 @@ class TestCountProof:
         assert cluster._count_is_one(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_two_apart_points_proved_by_eigenvalues(self, monkeypatch):
-        # B = 2 > (p - 1) / 2, but two eigenvalues have one gap: the count is 1
+        # the complement is K_2; two eigenvalues have one gap: the count is 1
         calls = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
@@ -344,15 +351,26 @@ class TestCountProof:
         if cluster._count_is_one(adj):
             assert eigengap_count(laplacian_spectrum(adj)[0]) == 1
 
-    @settings(max_examples=200, deadline=None)
-    @given(adj=_graphs)
-    def test_degree_bound(self, adj):
-        # theta_1 >= p - B (Anderson & Morley on the complement)
-        p = len(adj)
-        co = (p - 1) - adj.sum(axis=1)
-        b = max((co[u] + co[v] for u in range(p) for v in range(u + 1, p) if adj[u, v] == 0.0), default=0.0)
+    def test_eigvalsh_sees_only_vertices_with_a_non_neighbor(self, monkeypatch):
+        # K_30 less the edge 3-17: the complement is that one edge, so q = 2
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        adj = np.ones((30, 30)) - np.eye(30)
+        adj[3, 17] = adj[17, 3] = 0.0
+        assert np.allclose(cluster._complement_spectrum(adj), [0.0, 28.0] + [30.0] * 28, atol=1e-12)
+        assert calls == [(2, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(adj=st.one_of(_graphs, _lattice_graphs, _gaussian_graphs))
+    def test_complement_spectrum_matches_eigh(self, adj):
+        # L(G) + L(G') = pI - J, so the spectrum assembled from the
+        # complement is eigh's up to rounding: measured up to 1.1e-13 *
+        # max(1, theta_max), which near-empty graphs reach (L(G')'s
+        # eigenvalues near p, less p); the bound is 10^4 below the 1e-8 margin
         theta = laplacian_spectrum(adj)[0]
-        assert theta[1] >= p - b - 1e-9 * p
+        got = cluster._complement_spectrum(adj)
+        assert np.max(np.abs(got - theta)) <= 1e-12 * max(1.0, theta[-1])
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -642,6 +642,7 @@ class TestCliSpectrum:
         hist = result["histogram"]
         assert sum(hist["counts"]) == 16
         assert len(hist["bin_edges"]) == 13
+        assert "seed" not in result
 
     def test_esd_affine_scale(self, fbm_csv, tmp_path):
         out_h = tmp_path / "h.json"
@@ -665,13 +666,20 @@ class TestCliSpectrum:
 
     @pytest.mark.parametrize("subcommand", ["estimate", "spectrum"])
     def test_negative_seed_exit_2_before_reading(self, fbm_csv, monkeypatch, capsys, subcommand):
-        # np.random.SeedSequence takes no negative entropy; the flag is
-        # rejected with the other settings, not in a traceback
+        # np.random.SeedSequence takes no negative entropy, so estimate
+        # rejects the flag with the other settings, not in a traceback;
+        # spectrum draws no random number and takes no --seed at all
         read = []
         monkeypatch.setattr(cli, "read_panel_csv", lambda *args, **kwargs: read.append(args))
-        assert main([subcommand, "--input", str(fbm_csv), "--seed", "-1"]) == 2
-        assert json.loads(capsys.readouterr().err.strip()) == {
-            "error": "config", "message": "seed must be >= 0, got -1"}
+        argv = [subcommand, "--input", str(fbm_csv), "--seed", "-1"]
+        if subcommand == "estimate":
+            assert main(argv) == 2
+            assert json.loads(capsys.readouterr().err.strip()) == {
+                "error": "config", "message": "seed must be >= 0, got -1"}
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         assert read == []
 
     @pytest.mark.parametrize("subcommand, fmt", [("estimate", "json"), ("spectrum", "csv"), ("sweep", "csv")])
@@ -783,7 +791,7 @@ class TestCliSweep:
          "deepest usable octave is 3"),
         ("n = 2048\np = 4\nj1 = 2\nj2 = 4",
          "method gmm needs p >= 2*k_max = 6 series, got p=4"),
-    ])
+    ], ids=["p-above-n_j", "too-short", "gmm-p-below-6"])  # ids stay when a message changes
     def test_unrunnable_geometry_exit_2_before_synthesis(self, tmp_path, monkeypatch, capsys, lines, message):
         # every replication of these specs would fail in decompose or
         # wavelet_random_matrix, so the spec fails before any panel is made
