@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .synth import subseed
 
 __all__ = [
     "ClusterScheme",
@@ -153,7 +152,7 @@ def kmeans(points: np.ndarray, kappa: int, seed: int = 0) -> tuple[tuple[int, ..
     if not 1 <= kappa <= len(distinct):
         raise DomainError(f"kappa must be in 1..{len(distinct)} (distinct points), got {kappa}")
 
-    centers = _farthest_point_init(distinct, kappa, subseed(seed, 3))
+    centers = _farthest_point_init(distinct, kappa, np.random.default_rng((seed, 3)))
     labels = np.zeros(p, dtype=int)
     for _ in range(_MAX_ITERS):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)

@@ -1,5 +1,5 @@
-"""Panel ingestion from CSV and the first-difference standardization used
-before analyzing real data.
+"""Panels: the validated p x n container (Panel, which synth builds too), CSV
+ingestion and the first-difference standardization used before analysis.
 
 CSV layout: first row holds series identifiers, columns are series, rows
 are time.  An optional leading time-index column is detected (header empty
@@ -24,14 +24,14 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .errors import DataError
-from .synth import Panel
 
-__all__ = ["read_panel_csv", "standardize"]
+__all__ = ["Panel", "read_panel_csv", "standardize"]
 
 _NA_STRINGS = {"", "na", "nan", "n/a", "null", "none", "."}
 _BLOCK = 1024  # data rows converted per numpy call
@@ -39,6 +39,36 @@ _SCAN = 1 << 20  # bytes per chunk of the separator pre-scan
 # U+001C..U+001F: str.isspace() and loadtxt treat them as whitespace, float()
 # does not; none occurs inside a multi-byte UTF-8 sequence
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
+class Panel:
+    """p x n panel of observations (rows = components, columns = time)."""
+
+    data: np.ndarray
+    series: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        d = np.asarray(self.data, dtype=float)
+        object.__setattr__(self, "data", d)
+        if d.ndim != 2:
+            raise DataError(f"panel data must be 2-D, got ndim={d.ndim}")
+        p, n = d.shape
+        if p < 1 or n < 2:
+            raise DataError(f"panel needs p >= 1 and n >= 2, got shape {d.shape}")
+        # min and max propagate NaN and hold any infinity: no p x n mask
+        if not (np.isfinite(d.min()) and np.isfinite(d.max())):
+            raise DataError("panel contains non-finite entries")
+        if self.series is not None and len(self.series) != p:
+            raise DataError("series names do not match the number of rows")
+
+    @property
+    def p(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
 
 
 def _cell_error(text: str, row: int, col: int, name: str) -> DataError | None:

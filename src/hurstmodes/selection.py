@@ -14,13 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .cluster import ClusterScheme, estimate_at_epsilon
 from .errors import ConfigError, DomainError
-from .synth import subseed
 
 __all__ = ["EstimationResult", "SelectionTrace", "select_scheme"]
 
@@ -52,8 +50,8 @@ class EstimationResult:
 def _epsilon_seed(seed: int, k: int, m: int) -> int:
     """Sub-seed tied to the grid value k/m rather than the index k, so a
     refined grid reuses identical seeds at coincident epsilon values."""
-    frac = Fraction(k, m)
-    return subseed(seed, 4, frac.numerator, frac.denominator).integers(2**63)
+    g = math.gcd(k, m)
+    return np.random.default_rng((seed, 4, k // g, m // g)).integers(2**63)
 
 
 def select_scheme(

@@ -12,11 +12,11 @@ The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
 gen_panel synthesizes them on a thread per CPU the process may run on, at
 most one thread per six rows, which bounds the temporaries in flight by the
-panel.  Each
-row depends only on its own generator and its mode's weights, so the panel is
-bitwise the same for any number of threads.  The mixing Y = Q X then
-overwrites X in place, one block of columns at a time, so the panel is the
-only p x n array gen_panel holds.
+panel.  Each row depends only on its own generator and its mode's weights,
+so the panel is bitwise the same for any number of threads.  The mixing
+Y = Q X then overwrites X in place, one block of columns at a time, so the
+panel is the only p x n array gen_panel holds.  The panel is an
+ingest.Panel: the analysis modules and ingest never import this simulator.
 """
 
 from __future__ import annotations
@@ -27,26 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DomainError
+from .ingest import Panel
 from .wavelet import _cpu_count
 
 __all__ = [
     "HurstDistribution",
     "MixingMatrix",
-    "Panel",
     "fbm_path",
     "gen_panel",
     "sample_hurst",
 ]
-
-
-def subseed(seed: int, *path: int) -> np.random.Generator:
-    """Generator for a (seed, *path) address in a splittable seed tree.
-
-    Derived streams are independent and reproducible, so rows of a panel
-    or replications of an experiment can be generated in any order.
-    """
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(q) for q in path)))
 
 
 @dataclass(frozen=True)
@@ -108,46 +99,16 @@ class MixingMatrix:
         (Mezzadri 2007).  copysign gives each column a sign of +-1 even where
         a diagonal entry is 0.0, so the factor is orthogonal by construction.
         """
-        rng = subseed(seed, 1)
+        rng = np.random.default_rng((seed, 1))
         q, r = np.linalg.qr(rng.standard_normal((p, p)))
         return cls(q * np.copysign(1.0, np.diag(r)))
-
-
-@dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
-class Panel:
-    """p x n panel of observations (rows = components, columns = time)."""
-
-    data: np.ndarray
-    series: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", d)
-        if d.ndim != 2:
-            raise DataError(f"panel data must be 2-D, got ndim={d.ndim}")
-        p, n = d.shape
-        if p < 1 or n < 2:
-            raise DataError(f"panel needs p >= 1 and n >= 2, got shape {d.shape}")
-        # min and max propagate NaN and hold any infinity: no p x n mask
-        if not (np.isfinite(d.min()) and np.isfinite(d.max())):
-            raise DataError("panel contains non-finite entries")
-        if self.series is not None and len(self.series) != p:
-            raise DataError("series names do not match the number of rows")
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
 
 
 def sample_hurst(dist: HurstDistribution, p: int, seed: int) -> np.ndarray:
     """p i.i.d. draws from the Hurst distribution, reproducible under seed."""
     if p < 1:
         raise DomainError(f"need p >= 1, got {p}")
-    rng = subseed(seed, 0)
+    rng = np.random.default_rng((seed, 0))
     return rng.choice(np.asarray(dist.modes), size=p, p=np.asarray(dist.probs))
 
 
@@ -218,7 +179,7 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if rng is None:
-        rng = subseed(0 if seed is None else seed, 2, 0)
+        rng = np.random.default_rng((0 if seed is None else seed, 2, 0))
     return _path(rng, _embedding_sqrt_eigs(H, n), n, np.empty(n))
 
 
@@ -258,7 +219,7 @@ def gen_panel(dist: HurstDistribution, p: int, n: int, seed: int = 0) -> tuple[P
     x = np.empty((p, n))
 
     def fill(i: int) -> None:
-        _path(subseed(seed, 2, i), weights[h[i]], n, x[i])
+        _path(np.random.default_rng((seed, 2, i)), weights[h[i]], n, x[i])
 
     workers = _row_workers(p)
     if workers == 1:

@@ -6,7 +6,9 @@ comparison).  Budgets follow the stated replication counts, so the module
 takes several minutes of CPU.
 """
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ from test_ingest_cli import write_panel_csv
 SWEEP_PIPELINE = PipelineConfig(n=2**14, p=64, multiscale=(1, 4), m=10, grid_max=None)
 DELTAS = (0.0, 0.025, 0.05, 0.075, 0.1)
 REPS = 200
+# criterion 1's replication digest, rewritten by write_criterion1_records.py
+RECORDS_CSV = Path(__file__).parent / "data" / "criterion1_records.csv"
+RECORD_FIELDS = ("config", "rep", "method", "r_hat", "modes", "probs", "epsilon_ms")
 
 
 def report(num: int, ok: bool, msg: str) -> bool:
@@ -44,13 +49,34 @@ def report(num: int, ok: bool, msg: str) -> bool:
     return ok
 
 
-@pytest.fixture(scope="session")
-def bimodal_sweep():
-    spec = ExperimentSpec.bimodal_sweep(
+def bimodal_spec() -> ExperimentSpec:
+    """Criteria 1-3's sweep: 200 replications per gap, spectral and gmm."""
+    return ExperimentSpec.bimodal_sweep(
         DELTAS, base=0.25, pipeline=SWEEP_PIPELINE, reps=REPS,
         methods=("spectral", "gmm"), master_seed=20_240_817,
     )
-    return run_sweep(spec)
+
+
+@pytest.fixture(scope="session")
+def bimodal_sweep():
+    return run_sweep(bimodal_spec())
+
+
+def criterion1_records(result) -> dict[tuple[str, str, str], tuple[str, str, str, str]]:
+    """(config, rep, method) -> (r_hat, modes, probs, epsilon_ms) as the text
+    of RECORDS_CSV: modes and probabilities rounded to 1e-9 and joined by ';',
+    the selected epsilon rounded to 1e-9 and empty for gmm, which has none."""
+    def fixed(values) -> str:
+        return ";".join(f"{v:.9f}" for v in values)
+
+    return {
+        (o["config"], str(o["rep"]), r.method): (
+            str(r.r_hat), fixed(r.modes), fixed(r.probs),
+            "" if r.epsilon_ms is None else fixed([r.epsilon_ms]),
+        )
+        for o in result.rep_records
+        for r in o["records"]
+    }
 
 
 def proportion_two(result, label: str, method: str) -> float:
@@ -85,6 +111,30 @@ class TestCriterion1BimodalCurve:
         assert curve[0.025] <= 0.10, f"false bimodality at delta=0.025: {curve[0.025]}"
         assert curve[0.1] > 0.75, f"identification at delta=0.1: {curve[0.1]}"
         assert curve[0.075] > 0.75, f"identification at delta=0.075: {curve[0.075]}"
+
+
+class TestCriterion1Digest:
+    def test_records_unchanged(self, bimodal_sweep):
+        """Every criterion-1 record, (config, rep, method) -> r_hat, modes,
+        probabilities and selected epsilon, equals the committed digest, so a
+        change that moves the estimates while every gate still passes shows.
+
+        Two limits.  Where the top two Laplacian eigengaps tie exactly, eigh's
+        rounding decides the count (see the cluster docstring), so another
+        LAPACK build may move a record with no change to the code.  CI runs
+        `-k "not acceptance"`, which skips this test, so the digest binds only
+        in the full suite.  write_criterion1_records.py rewrites the file.
+        """
+        with open(RECORDS_CSV, newline="") as f:
+            rows = list(csv.reader(f))
+        assert tuple(rows[0]) == RECORD_FIELDS
+        committed = {tuple(row[:3]): tuple(row[3:]) for row in rows[1:]}
+        computed = criterion1_records(bimodal_sweep)
+        moved = [a for a in {**computed, **committed} if committed.get(a) != computed.get(a)]
+        assert not moved, (
+            f"{len(moved)} of {len(committed)} records moved; the first, {moved[0]}: "
+            f"{committed.get(moved[0])} committed, {computed.get(moved[0])} now"
+        )
 
 
 class TestCriterion2UnimodalControl:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -262,3 +264,13 @@ def _scheme_seed(seed, k, m):
     from hurstmodes.selection import _epsilon_seed
 
     return _epsilon_seed(seed, k, m)
+
+
+def test_epsilon_seed_reduces_k_over_m():
+    # the address is k/m in lowest terms, so a refined grid reuses the seeds
+    # of the epsilons it shares with a coarser one
+    for m in range(1, 65):
+        for k in range(1, m + 1):
+            frac = Fraction(k, m)
+            expected = np.random.default_rng((7, 4, frac.numerator, frac.denominator)).integers(2**63)
+            assert _scheme_seed(7, k, m) == expected, (k, m)

@@ -34,10 +34,13 @@ def _imported_modules(tree) -> set[str]:
 def test_layering():
     # the statistics reach cluster, selection and gmm as plain sorted arrays;
     # only the harness turns wavelet random matrices into them.  The wavelet
-    # transform takes the panel's array, so it knows nothing of synth
+    # transform takes the panel's array, and the analysis and the CSV reader
+    # never load the simulator or the Monte Carlo driver
     imports = {path.stem: _imported_modules(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
     scaling_users = sorted(m for m, names in imports.items() if "scaling" in names)
     assert scaling_users == ["__init__", "harness"]
     for module in ("cluster", "selection", "gmm"):
         assert "wavelet" not in imports[module], module
     assert imports["wavelet"] == {"errors"}
+    for module in ("wavelet", "scaling", "cluster", "selection", "gmm", "ingest"):
+        assert not imports[module] & {"synth", "harness"}, module

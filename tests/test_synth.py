@@ -24,7 +24,6 @@ from hurstmodes.synth import (
     _fgn_from_noise,
     _row_workers,
     fgn_autocovariance,
-    subseed,
 )
 
 
@@ -102,6 +101,36 @@ class TestSampleHurst:
         assert np.array_equal(a, b)
 
 
+class TestSeedTree:
+    """The first draws at one address of each kind in the seed tree (the
+    table is in the package docstring), pinned as literal bits together
+    with sample_hurst's draws.  Every CI job runs this, so a numpy whose
+    SeedSequence or PCG64 streams differ from those the committed digest was
+    written with fails here.  It pins the streams, not gen_panel's bytes,
+    which also depend on the BLAS."""
+
+    @pytest.mark.parametrize("address, normals, integer", [
+        ((7, 0), ("0x1.427a31c1ffc58p-10", "0x1.31ea59a5b303ep-2"), 5765488047046174021),
+        ((7, 1), ("0x1.63b2cdb11bec7p-2", "-0x1.2b3ededa4ab53p+1"), 7103296511922187878),
+        ((7, 2, 3), ("-0x1.5edb44b05ababp-2", "0x1.054fdec31176ep-2"), 8297589279189685966),
+        ((7, 3), ("-0x1.aad2cbf17b1f2p+0", "0x1.05a1e8bbcf27ep-4"), 8993097214371588835),
+        ((7, 4, 1, 2), ("0x1.1dd82d5e7779fp+0", "-0x1.ac049976e9bd8p+0"), 2098826604095453747),
+        ((0, 5, 0, 0), ("-0x1.841b5534caa72p-4", "-0x1.04ec516de9f32p-1"), 3524583430985860041),
+    ], ids=["hurst", "mixing", "row", "kmeans", "epsilon", "replication"])
+    def test_first_draws(self, address, normals, integer):
+        assert [v.hex() for v in np.random.default_rng(address).standard_normal(2).tolist()] == list(normals)
+        assert np.random.default_rng(address).integers(2**63) == integer
+
+    def test_numpy_integer_seed(self):
+        # kmeans gets its seed from integers(), an np.int64
+        draws = np.random.default_rng((np.int64(2098826604095453747), 3)).standard_normal(2)
+        assert [v.hex() for v in draws.tolist()] == ["0x1.badda0206c4e7p-1", "-0x1.2f47c3a73e2b9p+0"]
+
+    def test_sample_hurst_draws(self):
+        draws = sample_hurst(HurstDistribution((0.2, 0.5, 0.8), (0.2, 0.3, 0.5)), 12, seed=7)
+        assert draws.tolist() == [0.8, 0.8, 0.8, 0.5, 0.5, 0.8, 0.2, 0.8, 0.8, 0.5, 0.5, 0.5]
+
+
 class TestFbmPath:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -165,7 +194,7 @@ class TestFbmPath:
     def test_cholesky_matches_embedding_distribution(self):
         # same normals, same marginal variance behavior at modest tolerance
         var_e = np.var([fbm_path(0.6, 64, seed=s)[-1] for s in range(4000)])
-        var_c = np.var([np.cumsum(fgn_cholesky(0.6, 64, subseed(s, 2, 0).standard_normal(128)))[-1]
+        var_c = np.var([np.cumsum(fgn_cholesky(0.6, 64, np.random.default_rng((s, 2, 0)).standard_normal(128)))[-1]
                         for s in range(4000)])
         assert var_e == pytest.approx(64 ** 1.2, rel=0.1)
         assert var_c == pytest.approx(64 ** 1.2, rel=0.1)
@@ -228,7 +257,7 @@ class TestGenPanel:
         p, n, seed = 64, 256, 0
         dist = HurstDistribution.uniform([0.25, 0.75])
         panel, h = gen_panel(dist, p, n, seed=seed)
-        x = np.stack([fbm_path(h[i], n, rng=synth.subseed(seed, 2, i)) for i in range(p)])
+        x = np.stack([fbm_path(h[i], n, rng=np.random.default_rng((seed, 2, i))) for i in range(p)])
         q = MixingMatrix.haar(p, seed=seed).matrix
         assert np.allclose(q.T @ panel.data, x, rtol=0, atol=1e-9 * np.abs(x).max())
         gy = np.linalg.eigvalsh(panel.data @ panel.data.T)
@@ -255,7 +284,7 @@ def latent_panel(dist, p, n, seed):
     h = sample_hurst(dist, p, seed)
     x = np.empty((p, n))
     for i in range(p):
-        x[i] = fbm_path(h[i], n, rng=subseed(seed, 2, i))
+        x[i] = fbm_path(h[i], n, rng=np.random.default_rng((seed, 2, i)))
     return x, h
 
 
@@ -433,7 +462,7 @@ class TestRowPool:
         monkeypatch.setattr(synth, "_embedding_sqrt_eigs", eigs)
         with pytest.raises(ConfigError) as serial:
             for i in range(p):
-                fbm_path(h[i], n, rng=subseed(seed, 2, i))
+                fbm_path(h[i], n, rng=np.random.default_rng((seed, 2, i)))
         monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
         monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row started"))
         asked.clear()
