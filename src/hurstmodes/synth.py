@@ -10,10 +10,11 @@ is one inverse real FFT of length 2n.
 
 The rows of a panel are independent under the seed tree, and their normals,
 FFT and cumulative sum run in numpy code that releases the GIL, so
-gen_panel synthesizes them on a thread per CPU the process may run on, at
-most one thread per six rows, which bounds the temporaries in flight by the
-panel.  Each row depends only on its own generator and its mode's weights,
-so the panel is bitwise the same for any number of threads.  The mixing
+gen_panel synthesizes them on wavelet's row pool (_each_row, which the
+cascade shares): a thread per CPU the process may run on, capped at one
+thread per six rows, which bounds the temporaries in flight by the panel.
+Each row depends only on its own generator and its mode's weights, so the
+panel is bitwise the same for any number of threads.  The mixing
 Y = Q X then overwrites X in place, one block of columns at a time, so the
 panel is the only p x n array gen_panel holds.  The panel is an
 ingest.Panel: the analysis modules and ingest never import this simulator.
@@ -21,7 +22,6 @@ ingest.Panel: the analysis modules and ingest never import this simulator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ingest import Panel
-from .wavelet import _cpu_count
+from .wavelet import _each_row
 
 __all__ = [
     "HurstDistribution",
@@ -183,16 +183,6 @@ def fbm_path(H: float, n: int, seed: int | None = None, rng: np.random.Generator
     return _path(rng, _embedding_sqrt_eigs(H, n), n, np.empty(n))
 
 
-_ROWS_PER_WORKER = 6  # a row in flight holds ~48 bytes per sample, six rows of the panel
-
-
-def _row_workers(p: int) -> int:
-    """Threads for p rows: one per CPU this process may run on, and at most
-    one per _ROWS_PER_WORKER rows, so the rows in flight never hold more
-    temporaries than the p x n panel holds."""
-    return min(_cpu_count(), max(1, p // _ROWS_PER_WORKER))
-
-
 _BLOCK = 4096  # panel columns mixed per matrix product
 
 
@@ -221,16 +211,9 @@ def gen_panel(dist: HurstDistribution, p: int, n: int, seed: int = 0) -> tuple[P
     def fill(i: int) -> None:
         _path(np.random.default_rng((seed, 2, i)), weights[h[i]], n, x[i])
 
-    workers = _row_workers(p)
-    if workers == 1:
-        for _ in map(fill, range(p)):
-            pass
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # leaving the map early (a row raised, or Ctrl-C) cancels the
-            # rows not yet started; the with waits for those in flight
-            for _ in pool.map(fill, range(p)):
-                pass
+    # a row in flight holds ~48 bytes per sample, so at most one thread per
+    # six rows keeps the rows in flight from holding more than the panel
+    _each_row(p, max(1, p // 6), fill)
 
     # mixing holds the BLAS calls (QR, product), so it runs after the pool
     # and never shares the CPUs with it

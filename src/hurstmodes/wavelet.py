@@ -10,18 +10,19 @@ array; the pyramid computes no high-pass below them and none deeper.  The
 cascade runs one series at a time through every octave, so the only p-row
 arrays it allocates are the kept detail matrices.
 
-Rows of 2^16 samples or more run on k threads, one per CPU the process
-may run on and at most one per row, thread w taking rows w, w + k, ...:
-np.convolve releases the GIL inside its loop.  On shorter rows each call
-holds the GIL about as long as it computes, so those run on the calling
-thread.  Each row writes only its own row of each detail matrix, by the
-same operations on any thread, so the details are bitwise the same for any
-number of threads.
+Rows of 2^16 samples or more run on _each_row, the row pool gen_panel's
+synthesis shares, one thread per row at most: np.convolve releases the GIL
+inside its loop.  On shorter rows each call holds the GIL about as long as
+it computes, so those run on the calling thread.  Each row writes only its
+own row of each detail matrix, by the same operations on any thread, so
+the details are bitwise the same for any number of threads.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,12 +181,35 @@ def _cpu_count() -> int:
 _POOL_MIN_LENGTH = 2**16
 
 
-def _cascade_workers(p: int, n: int, cpus: int) -> int:
-    """Threads for the row cascade: one per CPU, at most one per row, and
-    one when the rows are shorter than _POOL_MIN_LENGTH."""
-    if n < _POOL_MIN_LENGTH:
-        return 1
-    return max(1, min(cpus, p))
+def _each_row(p: int, cap: int, work: Callable[[int], object]) -> None:
+    """Call work(i) for every row i < p on k = min(cap, p, CPUs) threads,
+    thread w taking rows w, w + k, ...; with k <= 1 on the calling thread,
+    starting none.  A row that raises, or an interrupt of the caller, stops
+    every thread before its next row; the error reaches the caller once all
+    threads have joined."""
+    k = min(cap, p, _cpu_count())
+    if k <= 1:
+        for i in range(p):
+            work(i)
+        return
+    stop = threading.Event()
+
+    def rows(w: int) -> None:
+        for i in range(w, p, k):
+            if stop.is_set():
+                return
+            try:
+                work(i)
+            except BaseException:
+                stop.set()
+                raise
+
+    with ThreadPoolExecutor(k) as pool:
+        try:
+            for _ in pool.map(rows, range(k)):
+                pass
+        finally:
+            stop.set()
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compared by identity
@@ -250,24 +274,15 @@ def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) ->
         steps.append((j, start, width, first))
         k0, length = k0_new, width
 
-    def cascade(rows) -> None:
-        for i in rows:
-            approx = data[i]
-            for j, start, width, first in steps:
-                if j >= j_min:
-                    d = details[j]
-                    d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
-                if j < j_max:
-                    approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
+    def cascade(i: int) -> None:
+        approx = data[i]
+        for j, start, width, first in steps:
+            if j >= j_min:
+                d = details[j]
+                d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
+            if j < j_max:
+                approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
 
-    workers = _cascade_workers(p, n, _cpu_count())
-    if workers == 1:
-        cascade(range(p))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # one task per worker, rows w, w + workers, ...: each row writes
-            # only its own row of each detail matrix
-            for _ in pool.map(cascade, (range(w, p, workers) for w in range(workers))):
-                pass
+    _each_row(p, p if n >= _POOL_MIN_LENGTH else 1, cascade)
 
     return WaveletDecomposition(details, n)

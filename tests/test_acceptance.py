@@ -39,9 +39,12 @@ from test_ingest_cli import write_panel_csv
 SWEEP_PIPELINE = PipelineConfig(n=2**14, p=64, multiscale=(1, 4), m=10, grid_max=None)
 DELTAS = (0.0, 0.025, 0.05, 0.075, 0.1)
 REPS = 200
-# criterion 1's replication digest, rewritten by write_criterion1_records.py
-RECORDS_CSV = Path(__file__).parent / "data" / "criterion1_records.csv"
-RECORD_FIELDS = ("config", "rep", "method", "r_hat", "modes", "probs", "epsilon_ms")
+# the replication digest of criteria 1, 4 and 8, rewritten by
+# write_replication_records.py
+RECORDS_CSV = Path(__file__).parent / "data" / "replication_records.csv"
+RECORD_FIELDS = ("criterion", "config", "rep", "method", "r_hat", "modes", "probs", "epsilon_ms")
+# criterion 8's stages: (n, p, octave window)
+CONSISTENCY_STAGES = ((2**12, 8, (4, 5)), (2**14, 16, (4, 6)), (2**16, 32, (4, 7)))
 
 
 def report(num: int, ok: bool, msg: str) -> bool:
@@ -57,26 +60,98 @@ def bimodal_spec() -> ExperimentSpec:
     )
 
 
+def trimodal_estimates() -> list:
+    """Criterion 4's 50 panels at (n, a, p) = (2^18, 2^6, 2^6): one
+    select_scheme result per replication."""
+    dist = HurstDistribution.uniform([0.2, 0.5, 0.8])
+    cfg = PipelineConfig(n=2**18, p=64, multiscale=(4, 6), m=10)
+    estimates = []
+    for rep in range(50):
+        panel, _ = gen_panel(dist, 64, 2**18, seed=9_000 + rep)
+        h, auto_m = log_eigen_set(panel, cfg)
+        estimates.append(select_scheme(h, m=10, grid_max=auto_m, seed=rep))
+    return estimates
+
+
+def consistency_sweeps() -> list:
+    """Criterion 8's sweeps, one per stage: 50 spectral replications each
+    of one fixed law, gap 0.2."""
+    dist = HurstDistribution((0.3, 0.5), (0.5, 0.5))
+    return [
+        run_sweep(ExperimentSpec(
+            configs=(("gap02", dist),),
+            pipeline=PipelineConfig(n=n, p=p, multiscale=window, m=10),
+            reps=50, methods=("spectral",), master_seed=888,
+        ))
+        for n, p, window in CONSISTENCY_STAGES
+    ]
+
+
 @pytest.fixture(scope="session")
 def bimodal_sweep():
     return run_sweep(bimodal_spec())
 
 
-def criterion1_records(result) -> dict[tuple[str, str, str], tuple[str, str, str, str]]:
-    """(config, rep, method) -> (r_hat, modes, probs, epsilon_ms) as the text
-    of RECORDS_CSV: modes and probabilities rounded to 1e-9 and joined by ';',
+@pytest.fixture(scope="session")
+def trimodal():
+    return trimodal_estimates()
+
+
+@pytest.fixture(scope="session")
+def consistency():
+    return consistency_sweeps()
+
+
+def _record(r) -> tuple[str, str, str, str]:
+    """(r_hat, modes, probs, epsilon_ms) of one estimate as the text of
+    RECORDS_CSV: modes and probabilities rounded to 1e-9 and joined by ';',
     the selected epsilon rounded to 1e-9 and empty for gmm, which has none."""
     def fixed(values) -> str:
         return ";".join(f"{v:.9f}" for v in values)
 
+    return (str(r.r_hat), fixed(r.modes), fixed(r.probs),
+            "" if r.epsilon_ms is None else fixed([r.epsilon_ms]))
+
+
+def _sweep_records(criterion: str, result, config: str | None = None) -> dict:
     return {
-        (o["config"], str(o["rep"]), r.method): (
-            str(r.r_hat), fixed(r.modes), fixed(r.probs),
-            "" if r.epsilon_ms is None else fixed([r.epsilon_ms]),
-        )
+        (criterion, config or o["config"], str(o["rep"]), r.method): _record(r)
         for o in result.rep_records
         for r in o["records"]
     }
+
+
+def criterion1_records(result) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """(criterion, config, rep, method) -> RECORDS_CSV's values, for every
+    replication and method of the bimodal sweep."""
+    return _sweep_records("1", result)
+
+
+def criterion4_records(estimates) -> dict[tuple[str, ...], tuple[str, ...]]:
+    return {("4", "trimodal", str(rep), "spectral"): _record(est) for rep, est in enumerate(estimates)}
+
+
+def criterion8_records(sweeps) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """The three stages share the label gap02, so each config names its
+    stage's n too."""
+    records = {}
+    for (n, _, _), result in zip(CONSISTENCY_STAGES, sweeps):
+        records |= _sweep_records("8", result, f"gap02 n={n}")
+    return records
+
+
+def assert_records_unchanged(criterion: str, computed: dict) -> None:
+    """The computed records of a criterion equal the committed ones, none
+    missing and none added; the message names how many moved and the first."""
+    with open(RECORDS_CSV, newline="") as f:
+        rows = list(csv.reader(f))
+    assert tuple(rows[0]) == RECORD_FIELDS
+    committed = {tuple(row[:4]): tuple(row[4:]) for row in rows[1:] if row[0] == criterion}
+    moved = [a for a in {**computed, **committed} if committed.get(a) != computed.get(a)]
+    assert not moved, (
+        f"{len(moved)} of {len(committed)} criterion-{criterion} records moved; the first, "
+        f"{moved[0]}: {committed.get(moved[0])} committed, {computed.get(moved[0])} now"
+    )
 
 
 def proportion_two(result, label: str, method: str) -> float:
@@ -115,26 +190,18 @@ class TestCriterion1BimodalCurve:
 
 class TestCriterion1Digest:
     def test_records_unchanged(self, bimodal_sweep):
-        """Every criterion-1 record, (config, rep, method) -> r_hat, modes,
-        probabilities and selected epsilon, equals the committed digest, so a
-        change that moves the estimates while every gate still passes shows.
+        """Every criterion-1 record, (criterion, config, rep, method) -> r_hat,
+        modes, probabilities and selected epsilon, equals the committed
+        digest, so a change that moves the estimates while every gate still
+        passes shows.  Criteria 4 and 8 have digests of their own below.
 
         Two limits.  Where the top two Laplacian eigengaps tie exactly, eigh's
         rounding decides the count (see the cluster docstring), so another
         LAPACK build may move a record with no change to the code.  CI runs
-        `-k "not acceptance"`, which skips this test, so the digest binds only
-        in the full suite.  write_criterion1_records.py rewrites the file.
+        `-k "not acceptance"`, which skips the digests, so they bind only in
+        the full suite.  write_replication_records.py rewrites the file.
         """
-        with open(RECORDS_CSV, newline="") as f:
-            rows = list(csv.reader(f))
-        assert tuple(rows[0]) == RECORD_FIELDS
-        committed = {tuple(row[:3]): tuple(row[3:]) for row in rows[1:]}
-        computed = criterion1_records(bimodal_sweep)
-        moved = [a for a in {**computed, **committed} if committed.get(a) != computed.get(a)]
-        assert not moved, (
-            f"{len(moved)} of {len(committed)} records moved; the first, {moved[0]}: "
-            f"{committed.get(moved[0])} committed, {computed.get(moved[0])} now"
-        )
+        assert_records_unchanged("1", criterion1_records(bimodal_sweep))
 
 
 class TestCriterion2UnimodalControl:
@@ -159,22 +226,22 @@ class TestCriterion3BeatsBaselineInTransition:
 
 
 class TestCriterion4Trimodal:
-    def test_three_modes_recovered(self):
-        dist = HurstDistribution.uniform([0.2, 0.5, 0.8])
-        cfg = PipelineConfig(n=2**18, p=64, multiscale=(4, 6), m=10)
-        good = 0
-        reps = 50
-        for rep in range(reps):
-            panel, _ = gen_panel(dist, 64, 2**18, seed=9_000 + rep)
-            h, auto_m = log_eigen_set(panel, cfg)
-            est = select_scheme(h, m=10, grid_max=auto_m, seed=rep)
-            if est.r_hat == 3 and np.allclose(est.modes, [0.2, 0.5, 0.8], atol=0.1):
-                good += 1
+    def test_three_modes_recovered(self, trimodal):
+        good = sum(est.r_hat == 3 and np.allclose(est.modes, [0.2, 0.5, 0.8], atol=0.1)
+                   for est in trimodal)
+        reps = len(trimodal)
         frac = good / reps
         ok = frac >= 0.8
         report(4, ok, f"trimodal (n,a,p)=(2^18,2^6,2^6): r_hat=3 with all modes "
                       f"within 0.1 in {good}/{reps} = {frac:.2f} (required >= 0.80)")
         assert frac >= 0.8
+
+
+class TestCriterion4Digest:
+    def test_records_unchanged(self, trimodal):
+        """Criterion 4's 50 estimates against the committed digest, with
+        TestCriterion1Digest's limits."""
+        assert_records_unchanged("4", criterion4_records(trimodal))
 
 
 class TestCriterion5LaplacianOracle:
@@ -254,21 +321,9 @@ class TestCriterion7WaveletCorrectness:
 
 
 class TestCriterion8ConsistencyTrend:
-    def test_joint_success_non_decreasing(self):
-        dist = HurstDistribution((0.3, 0.5), (0.5, 0.5))  # fixed law, gap 0.2
-        stages = [
-            (2**12, 8, (4, 5)),
-            (2**14, 16, (4, 6)),
-            (2**16, 32, (4, 7)),
-        ]
+    def test_joint_success_non_decreasing(self, consistency):
         props = []
-        for n, p, window in stages:
-            spec = ExperimentSpec(
-                configs=(("gap02", dist),),
-                pipeline=PipelineConfig(n=n, p=p, multiscale=window, m=10),
-                reps=50, methods=("spectral",), master_seed=888,
-            )
-            res = run_sweep(spec)
+        for res in consistency:
             hits = [
                 r.correct and r.mode_err < 0.05 and r.prob_err < 0.1
                 for o in res.rep_records
@@ -279,6 +334,13 @@ class TestCriterion8ConsistencyTrend:
         report(8, ok, "P(r_hat=r, mode err<0.05, prob err<0.1) over n in "
                       f"{{2^12,2^14,2^16}}: {[round(x, 2) for x in props]} (non-decreasing)")
         assert ok
+
+
+class TestCriterion8Digest:
+    def test_records_unchanged(self, consistency):
+        """Criterion 8's 150 records against the committed digest, with
+        TestCriterion1Digest's limits."""
+        assert_records_unchanged("8", criterion8_records(consistency))
 
 
 class TestCriterion9Determinism:

@@ -1,7 +1,5 @@
 import os
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -18,11 +16,10 @@ from hurstmodes import (
     gen_panel,
     sample_hurst,
 )
-from hurstmodes import synth
+from hurstmodes import synth, wavelet
 from hurstmodes.synth import (
     _embedding_sqrt_eigs,
     _fgn_from_noise,
-    _row_workers,
     fgn_autocovariance,
 )
 
@@ -295,14 +292,18 @@ def _serial_panel(dist, p, n, seed):
 
 
 class TestRowPool:
+    """gen_panel on the row pool: the panel's bits for any thread count, its
+    cap and its peak memory.  The pool itself is tested in test_wavelet's
+    TestEachRow."""
+
     DIST = HurstDistribution.uniform([0.2, 0.5, 0.8])
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("p", [1, 3, 64])
-    def test_bitwise_equal_to_serial_rows(self, monkeypatch, p, workers):
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+    def test_bitwise_equal_to_serial_rows(self, monkeypatch, force_threads, p, workers):
+        force_threads(synth, workers)
         if workers == 1:
-            monkeypatch.setattr(synth, "ThreadPoolExecutor",
+            monkeypatch.setattr(wavelet, "ThreadPoolExecutor",
                                 lambda *a, **k: pytest.fail("one worker started a pool"))
         ref, h_ref = _serial_panel(self.DIST, p, 2**12, seed=17)
         panel, h = gen_panel(self.DIST, p, 2**12, seed=17)
@@ -311,10 +312,10 @@ class TestRowPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("n", [3 * synth._BLOCK, synth._BLOCK // 2])
-    def test_block_mixing_bitwise_equal_to_whole_product(self, monkeypatch, n, workers):
+    def test_block_mixing_bitwise_equal_to_whole_product(self, force_threads, n, workers):
         # whole blocks, or a panel narrower than one block: each column of
         # M X is the same dot products whichever block it sits in
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+        force_threads(synth, workers)
         ref, _ = _serial_panel(self.DIST, 64, n, seed=23)
         panel, _ = gen_panel(self.DIST, 64, n, seed=23)
         assert panel.data.tobytes() == ref.tobytes()
@@ -332,10 +333,10 @@ class TestRowPool:
         assert np.max(np.abs(panel.data - ref)) <= 4 * eps * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_memory_one_panel(self, monkeypatch, workers):
+    def test_peak_memory_one_panel(self, force_threads, workers):
         # mixing in place keeps X and M X from being alive at once, and the
         # Panel check allocates no p x n mask
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: workers)
+        force_threads(synth, workers)
         p, n = 64, 2**16
         for H in self.DIST.modes:  # the cached weights are not the panel's
             synth._embedding_sqrt_eigs(H, n)
@@ -347,42 +348,19 @@ class TestRowPool:
             tracemalloc.stop()
         assert peak <= 1.25 * panel.data.nbytes
 
-    def test_stress_more_workers_than_cores(self, monkeypatch):
-        # many more threads than CPUs, switching as often as the interpreter
-        # allows: a row written twice, torn or lost changes the bytes
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: 16)
-        ref, _ = _serial_panel(self.DIST, 64, 2**11, seed=5)
-        result = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=lambda: result.append(gen_panel(self.DIST, 64, 2**11, seed=5)),
-                                      daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        assert result[0][0].data.tobytes() == ref.tobytes()
-
     def test_worker_cap_without_threads(self, monkeypatch):
-        # one worker per CPU, at most one per six rows
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
-        assert _row_workers(3) == 1
-        assert _row_workers(12) == 2
-        assert _row_workers(20_000) == 3_333
-        assert _row_workers(60_000) == 10_000
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
-        assert _row_workers(64) == 1
+        # at most one thread per six rows; the pool takes the CPU count
+        caps = []
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _row_workers(64) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert _row_workers(64) == 6
-        assert _row_workers(24) == 4
-        assert _row_workers(4) == 1
+        def serial(p, cap, work):
+            caps.append(cap)
+            for i in range(p):
+                work(i)
+
+        monkeypatch.setattr(synth, "_each_row", serial)
+        for p in (1, 5, 6, 12, 64):
+            gen_panel(self.DIST, p, 16, seed=0)
+        assert caps == [1, 1, 1, 2, 10]
 
     def test_peak_memory_bounded_by_panel_at_eight_cpus(self, monkeypatch):
         # each row in flight holds ~48 bytes per sample: with one worker per
@@ -399,16 +377,10 @@ class TestRowPool:
             tracemalloc.stop()
         assert peak <= 2 * panel.data.nbytes
 
-    def test_threads_joined_after_return(self, monkeypatch):
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
-        before = threading.active_count()
-        gen_panel(self.DIST, 16, 256, seed=0)
-        assert threading.active_count() == before
-
-    def test_rows_touch_no_module_state(self, monkeypatch):
+    def test_rows_touch_no_module_state(self, monkeypatch, force_threads):
         # the weight cache is filled by the caller alone, and rows do not go
         # through the module's fbm_path, which a caller may have wrapped
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
+        force_threads(synth, 4)
         threads = []
         real = synth._embedding_sqrt_eigs
 
@@ -421,31 +393,7 @@ class TestRowPool:
         gen_panel(self.DIST, 32, 256, seed=2)
         assert threads and set(threads) == {threading.current_thread()}
 
-    def test_failing_row_cancels_pending_rows(self, monkeypatch):
-        # the first row raises and the others take 20 ms each: the error must
-        # reach the caller with the threads joined and most rows never started
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: 2)
-        calls = []
-        lock = threading.Lock()
-        real = synth._fgn_from_noise
-
-        def row_body(z, weights, n):
-            with lock:
-                calls.append(n)
-                first = len(calls) == 1
-            if first:
-                raise RuntimeError("row failed")
-            time.sleep(0.02)
-            return real(z, weights, n)
-
-        monkeypatch.setattr(synth, "_fgn_from_noise", row_body)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="row failed"):
-            gen_panel(self.DIST, 64, 256, seed=0)
-        assert threading.active_count() == before
-        assert len(calls) <= 16
-
-    def test_non_psd_second_mode_raises_serial_error_first(self, monkeypatch):
+    def test_non_psd_second_mode_raises_serial_error_first(self, monkeypatch, force_threads):
         # the second distinct H of the rows is not PSD: the error is the one
         # the row loop raised, and no row starts
         p, n, seed = 16, 128, 3
@@ -463,7 +411,7 @@ class TestRowPool:
         with pytest.raises(ConfigError) as serial:
             for i in range(p):
                 fbm_path(h[i], n, rng=np.random.default_rng((seed, 2, i)))
-        monkeypatch.setattr(synth, "_row_workers", lambda rows: 4)
+        force_threads(synth, 4)
         monkeypatch.setattr(synth, "_path", lambda *a: pytest.fail("a row started"))
         asked.clear()
         before = threading.active_count()

@@ -1,16 +1,27 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurstmodes import ConfigError, DomainError, daubechies, decompose, fbm_path, max_octave
-from hurstmodes import wavelet
-from hurstmodes.wavelet import _POOL_MIN_LENGTH, _cascade_workers, trimmed_count
+from hurstmodes import (
+    ConfigError,
+    DomainError,
+    HurstDistribution,
+    daubechies,
+    decompose,
+    fbm_path,
+    gen_panel,
+    max_octave,
+)
+from hurstmodes import synth, wavelet
+from hurstmodes.wavelet import _POOL_MIN_LENGTH, trimmed_count
 
 SQRT2 = np.sqrt(2.0)
 
@@ -321,15 +332,18 @@ class TestDecompose:
 
 
 class TestRowPool:
+    """decompose on the row pool: the details' bits for any thread count,
+    its cap and its peak memory.  The pool itself is tested in TestEachRow."""
+
     @pytest.mark.parametrize("order", [1, 2])
-    def test_details_bitwise_equal_for_any_worker_count(self, monkeypatch, rng, order):
+    def test_details_bitwise_equal_for_any_worker_count(self, force_threads, rng, order):
         # 7 rows split 4 + 3 over two workers and 3 + 2 + 2 over three
         y = rng.standard_normal((7, _POOL_MIN_LENGTH))
         bank = daubechies(order)
         before = threading.active_count()
         runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(wavelet, "_cascade_workers", lambda p, n, cpus: workers)
+        for workers in (1, 2, 3, 8):
+            force_threads(wavelet, workers)
             runs.append(decompose(y, bank, 5, 2))
         assert threading.active_count() == before
         serial = runs[0].details
@@ -338,28 +352,6 @@ class TestRowPool:
             assert list(pooled.details) == list(serial)
             for j, d in serial.items():
                 assert pooled.details[j].tobytes() == d.tobytes()
-
-    def test_stress_more_workers_than_cores(self, monkeypatch, rng):
-        # eight threads on 16 rows, switching as often as the interpreter
-        # allows: a row written twice, torn or lost changes the bytes
-        y = rng.standard_normal((16, _POOL_MIN_LENGTH))
-        bank = daubechies(2)
-        workers = [1]
-        monkeypatch.setattr(wavelet, "_cascade_workers", lambda p, n, cpus: workers[0])
-        ref = decompose(y, bank, 5, 2)
-        workers[0] = 8
-        result = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            worker = threading.Thread(target=lambda: result.append(decompose(y, bank, 5, 2)), daemon=True)
-            worker.start()
-            worker.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not worker.is_alive()
-        for j, d in ref.details.items():
-            assert result[0].details[j].tobytes() == d.tobytes()
 
     def test_short_rows_start_no_thread(self, monkeypatch, rng):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
@@ -371,16 +363,21 @@ class TestRowPool:
             decomp = decompose(np.zeros((p, _POOL_MIN_LENGTH)), daubechies(2), 5, 2)
             assert decomp.details[5].shape[0] == p
 
-    def test_worker_rule_caps(self):
-        # one per CPU, at most one per row, one below the length threshold
+    def test_worker_rule_caps(self, monkeypatch):
+        # at most one thread per row, one below the length threshold; the
+        # pool takes the CPU count
         long, short = _POOL_MIN_LENGTH, _POOL_MIN_LENGTH - 1
-        assert _cascade_workers(64, long, 10_000) == 64
-        assert _cascade_workers(64, long, 2) == 2
-        assert _cascade_workers(64, long, 1) == 1
-        assert _cascade_workers(64, short, 10_000) == 1
-        assert _cascade_workers(7, 2**20, 3) == 3
-        assert _cascade_workers(1, long, 8) == 1
-        assert _cascade_workers(0, long, 8) == 1  # ThreadPoolExecutor(0) raises
+        caps = []
+        real = wavelet._each_row
+
+        def serial(p, cap, work):
+            caps.append((p, cap))
+            real(p, 1, work)
+
+        monkeypatch.setattr(wavelet, "_each_row", serial)
+        for p, n in ((64, long), (64, short), (7, 2**17), (1, long), (0, long)):
+            decompose(np.zeros((p, n)), daubechies(2), 5, 2)
+        assert caps == [(64, 64), (64, 1), (7, 7), (1, 1), (0, 0)]
 
     def test_pooled_peak_memory(self, monkeypatch, rng):
         # each of four workers holds one row's temporaries (~3.3 rows of
@@ -397,6 +394,167 @@ class TestRowPool:
         kept = sum(d.nbytes for d in decomp.details.values())
         assert kept < 0.47 * y.nbytes
         assert peak < kept + 4 * 4 * y[0].nbytes
+
+
+def _slow_rows(monkeypatch, caller: str):
+    """A call of caller whose rows report their start to a list and then
+    sleep 20 ms; the first row to start raises after its sleep, when every
+    thread has started a row."""
+    started = []
+    lock = threading.Lock()
+
+    def start_row():
+        with lock:
+            started.append(None)
+            first = len(started) == 1
+        time.sleep(0.02)
+        if first:
+            raise RuntimeError("row failed")
+
+    if caller == "gen_panel":
+        real = synth._fgn_from_noise
+
+        def row_body(z, weights, n):
+            start_row()
+            return real(z, weights, n)
+
+        monkeypatch.setattr(synth, "_fgn_from_noise", row_body)
+        return started, lambda: gen_panel(HurstDistribution.point(0.5), 64, 256, seed=0)
+
+    y = np.zeros((64, _POOL_MIN_LENGTH))
+
+    class Numpy:  # wavelet's numpy, reporting each row's first convolution
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def convolve(a, v):
+            if a.base is y:  # with j_min = 2 only octave 1's low-pass reads the row
+                start_row()
+            return np.convolve(a, v)
+
+    monkeypatch.setattr(wavelet, "np", Numpy())
+    return started, lambda: decompose(y, daubechies(2), 3, 2)
+
+
+class TestEachRow:
+    """The row pool that gen_panel's synthesis and decompose's cascade share."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("p", [0, 1, 7, 64])
+    def test_every_row_runs_once(self, monkeypatch, p, threads):
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: threads)
+        seen = []
+        wavelet._each_row(p, threads, lambda i: seen.append((i, threading.get_ident())))
+        assert sorted(i for i, _ in seen) == list(range(p))
+        workers = {t for _, t in seen}
+        if min(p, threads) <= 1:
+            assert workers <= {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in workers
+            assert len(workers) <= min(p, threads)
+
+    def test_cap_of_one_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(wavelet, "ThreadPoolExecutor", lambda *a, **k: pytest.fail("started a pool"))
+        seen = []
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 64)
+        wavelet._each_row(64, 1, seen.append)
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 1)
+        wavelet._each_row(64, 64, seen.append)
+        assert seen == list(range(64)) * 2
+
+    def test_threads_capped_by_cpus_and_rows(self, monkeypatch):
+        pools = []
+        real = wavelet.ThreadPoolExecutor
+        monkeypatch.setattr(wavelet, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 3)
+        for p, cap in ((64, 8), (64, 2), (2, 8)):
+            wavelet._each_row(p, cap, lambda i: None)
+        assert pools == [3, 2, 2]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert wavelet._cpu_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert wavelet._cpu_count() == 6
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert wavelet._cpu_count() == 1
+
+    @pytest.mark.parametrize("caller", ["gen_panel", "decompose"])
+    def test_raising_row_stops_every_thread(self, monkeypatch, caller):
+        # the error must reach the caller with the threads joined and most
+        # rows never started
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 2)
+        started, call = _slow_rows(monkeypatch, caller)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row failed"):
+            call()
+        assert threading.active_count() == before
+        assert len(started) <= 16
+
+    def test_interrupt_of_caller_stops_every_thread(self, monkeypatch):
+        # Ctrl-C while the caller waits for its rows: the threads stop before
+        # their next row and are joined before the interrupt reaches the caller
+        class Interrupted(ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                self.futures = super().map(fn, *iterables)
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(wavelet, "ThreadPoolExecutor", Interrupted)
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 2)
+        rows = []
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            wavelet._each_row(64, 2, lambda i: (rows.append(i), time.sleep(0.02)))
+        assert threading.active_count() == before
+        assert len(rows) <= 16
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_threads_joined(self, monkeypatch, raises):
+        monkeypatch.setattr(wavelet, "_cpu_count", lambda: 4)
+
+        def work(i):
+            time.sleep(0.001)
+            if raises and i == 5:
+                raise ValueError("row 5")
+
+        before = threading.active_count()
+        if raises:
+            with pytest.raises(ValueError, match="row 5"):
+                wavelet._each_row(16, 4, work)
+        else:
+            wavelet._each_row(16, 4, work)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("caller", ["gen_panel", "decompose"])
+    def test_stress_many_threads(self, force_threads, rng, caller):
+        # 16 threads, switching as often as the interpreter allows: a row
+        # written twice, torn or lost changes the bytes
+        if caller == "gen_panel":
+            module = synth
+            dist = HurstDistribution.uniform([0.2, 0.5, 0.8])
+            run = lambda: gen_panel(dist, 64, 2**11, seed=5)[0].data.tobytes()
+        else:
+            module = wavelet
+            y = rng.standard_normal((16, _POOL_MIN_LENGTH))
+            bank = daubechies(2)
+            run = lambda: [d.tobytes() for d in decompose(y, bank, 5, 2).details.values()]
+        force_threads(module, 1)
+        ref = run()
+        force_threads(module, 16)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(run()), daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result == [ref]
 
 
 def test_trimmed_count_examples():
