@@ -88,12 +88,23 @@ def _pipeline_config(settings: dict, n: int = 0, p: int = 0) -> PipelineConfig:
     return PipelineConfig(n=n, p=p, grid_max=grid_max, **{k: v for k, v in s.items() if v is not None})
 
 
+def _claim_outputs(*paths) -> None:
+    """Create each output file not yet there, stdout (None or "-") aside: an
+    output that cannot be created fails (OSError, exit 3) before the run
+    reads its input, and a run that fails later leaves the file empty."""
+    for path in paths:
+        if path not in (None, "-"):
+            open(path, "a").close()
+
+
 def _read_panel(args):
-    """Check the settings and read and standardize the CSV: the prologue
-    estimate and spectrum share.  Returns the config and the panel."""
+    """Check the settings, claim the output, and read and standardize the
+    CSV: the prologue estimate and spectrum share.  Returns the config and
+    the panel."""
     if args.bins < 1:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
     cfg = _pipeline_config(vars(args))
+    _claim_outputs(args.output)
     time_column = {"auto": "auto", "yes": True, "no": False}[args.time_column]
     return cfg, standardize(read_panel_csv(args.input, time_column=time_column))
 
@@ -127,7 +138,7 @@ def cmd_estimate(args) -> int:
     est = select_scheme(out["h_values"], m=cfg.m, grid_max=grid_max, seed=args.seed,
                         min_cluster=cfg.min_cluster)
     out.update({
-        "series": list(panel.series) if panel.series else None,
+        "series": list(panel.series),
         "r_hat": est.r_hat,
         "modes": est.modes,
         "probs": est.probs,
@@ -163,7 +174,8 @@ def parse_sweep_spec(path) -> ExperimentSpec:
       base      bimodal only: first mode                    (default 0.25)
       deltas    bimodal only: comma list of mode gaps       (e.g. 0,0.05,0.1)
       probs     comma list of probabilities                 (default uniform)
-      modes     custom only: semicolon-separated mode lists (e.g. 0.2,0.5,0.8;0.3,0.6)
+      modes     custom only: semicolon-separated mode lists (e.g. 0.2,0.5,0.8;0.3,0.6);
+                with probs, each list ascending, its i-th mode taking the i-th probability
       n p       panel geometry (p >= 2)
       j a j1 j2 m M min_cluster n_vanishing
                 analysis settings, as the estimate flags of the same name
@@ -171,7 +183,9 @@ def parse_sweep_spec(path) -> ExperimentSpec:
                 otherwise, with a an error)
       reps seed methods
                 (reps >= 1; methods distinct, non-empty)
-    Any other key is a configuration error.
+    Any other key is a configuration error.  A key left unset takes the
+    default of ExperimentSpec or bimodal_sweep, and HurstDistribution checks
+    each law.
     """
     kv: dict[str, str] = {}
     seen_at: dict[str, int] = {}
@@ -201,21 +215,21 @@ def parse_sweep_spec(path) -> ExperimentSpec:
         raw = kv.pop(key, None)
         return default if raw is None else convert(key, raw, kind)
 
+    def names(text):
+        return tuple(s.strip() for s in text.split(",") if s.strip())
+
+    def given(**fields):
+        return {key: value for key, value in fields.items() if value is not None}
+
     settings = {name: get(name, kind=kind) for name, (kind, _) in _SETTINGS.items()}
     family = get("family", "bimodal")
-    probs = get("probs")
-    probs = convert("probs", probs, floats) if probs else None
-    reps = get("reps", 200, int)
-    seed = get("seed", 0, int)
-    methods = tuple(s.strip() for s in get("methods", "spectral,gmm").split(",") if s.strip())
-    pipeline = _pipeline_config(settings, n=get("n", 16384, int), p=get("p", 64, int))
+    probs = get("probs", kind=floats)
+    run = given(reps=get("reps", kind=int), master_seed=get("seed", kind=int), methods=get("methods", kind=names),
+                pipeline=_pipeline_config(settings, n=get("n", 16384, int), p=get("p", 64, int)))
 
     if family == "bimodal":
         deltas = get("deltas", (0.0, 0.025, 0.05, 0.075, 0.1), floats)
-        spec = ExperimentSpec.bimodal_sweep(
-            deltas, base=get("base", 0.25, float), probs=probs or (0.5, 0.5), pipeline=pipeline,
-            reps=reps, methods=methods, master_seed=seed,
-        )
+        spec = ExperimentSpec.bimodal_sweep(deltas, **given(base=get("base", kind=float), probs=probs), **run)
     elif family == "custom":
         modes_field = get("modes")
         if not modes_field:
@@ -223,13 +237,9 @@ def parse_sweep_spec(path) -> ExperimentSpec:
         configs = []
         for chunk in modes_field.split(";"):
             modes = convert("modes", chunk, floats)
-            if probs:
-                dist = HurstDistribution(tuple(sorted(modes)), probs)
-            else:
-                dist = HurstDistribution.uniform(modes)
+            dist = HurstDistribution.uniform(modes) if probs is None else HurstDistribution(modes, probs)
             configs.append((chunk.strip(), dist))
-        spec = ExperimentSpec(configs=tuple(configs), pipeline=pipeline, reps=reps,
-                              methods=methods, master_seed=seed)
+        spec = ExperimentSpec(configs=tuple(configs), **run)
     else:
         raise ConfigError(f"unknown family {family!r}")
 
@@ -251,9 +261,7 @@ def _write_sweep_csv(rows, path) -> None:
 def cmd_sweep(args) -> int:
     spec = parse_sweep_spec(args.spec)
     base = args.output or "sweep"
-    # an output that cannot be created fails before the first replication
-    for path in (base + ".csv", base + ".json"):
-        open(path, "a").close()
+    _claim_outputs(base + ".csv", base + ".json")
     result = run_sweep(spec)
     _write_sweep_csv(result.rows, base + ".csv")
     records = [{**o, "records": [vars(r) for r in o["records"]]} for o in result.rep_records]

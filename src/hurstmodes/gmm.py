@@ -126,12 +126,10 @@ def select_gmm(h_set: np.ndarray, k_max: int = K_MAX, seed: int = 0) -> GmmFit:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     if len(x) < 2 * k_max:
         raise DomainError(f"need p >= 2*k_max = {2 * k_max} points, got {len(x)}")
-    fits = []
+    fits = []  # the k = 1 fit of >= 2 points cannot fail, so never empty
     for k in range(1, k_max + 1):
         try:
             fits.append(fit_gmm(x, k))
         except DomainError:
             warnings.warn(f"GMM fit with k={k} failed; skipping", RuntimeWarning)
-    if not fits:
-        raise DomainError("no GMM fit succeeded")
     return min(fits, key=lambda f: f.bic)

@@ -193,8 +193,7 @@ def gen_panel(dist: HurstDistribution, p: int, n: int, seed: int = 0) -> tuple[P
     rows (for scoring in simulation studies).  Q is MixingMatrix.haar(p,
     seed), the one mixing policy: Q is orthogonal, so it leaves the spectrum
     of every wavelet random matrix as it was.  Y is formed in place of X,
-    _BLOCK columns per product through one p x _BLOCK buffer, so the panel
-    is the only p x n array.
+    _BLOCK columns per product, so the panel is the only p x n array.
     """
     if p < 1 or n < 2:
         raise DomainError(f"need p >= 1 and n >= 2, got p={p}, n={n}")
@@ -218,10 +217,6 @@ def gen_panel(dist: HurstDistribution, p: int, n: int, seed: int = 0) -> tuple[P
     # mixing holds the BLAS calls (QR, product), so it runs after the pool
     # and never shares the CPUs with it
     q = MixingMatrix.haar(p, seed).matrix
-    buf = np.empty((p, min(n, _BLOCK)))
     for c in range(0, n, _BLOCK):
-        cols = x[:, c : c + _BLOCK]
-        out = buf[:, : cols.shape[1]]
-        np.matmul(q, cols, out=out)
-        cols[...] = out
+        x[:, c : c + _BLOCK] = q @ x[:, c : c + _BLOCK]
     return Panel(x), h

@@ -25,7 +25,6 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -102,8 +101,6 @@ def _daubechies_polish(h: np.ndarray, order: int) -> np.ndarray:
         f = np.empty(t)
         jac = np.zeros((t, t))
         for m in range(n):
-            shifted = np.zeros(t)
-            shifted[: t - 2 * m] = u[2 * m :]
             f[m] = u[: t - 2 * m] @ u[2 * m :] - (1.0 if m == 0 else 0.0)
             grad = np.zeros(t)
             grad[: t - 2 * m] += u[2 * m :]
@@ -122,12 +119,8 @@ def daubechies(n_vanishing: int) -> FilterBank:
     vanishing moments (1 = Haar, 2 = the 4-tap filter, ..., up to 10)."""
     if not isinstance(n_vanishing, (int, np.integer)) or not (1 <= n_vanishing <= _MAX_ORDER):
         raise ConfigError(f"n_vanishing must be an integer in 1..{_MAX_ORDER}, got {n_vanishing!r}")
-    return _bank(int(n_vanishing))
-
-
-@lru_cache(maxsize=_MAX_ORDER)
-def _bank(n_vanishing: int) -> FilterBank:
-    u = _daubechies_polish(_daubechies_initial(n_vanishing), n_vanishing)
+    order = int(n_vanishing)
+    u = _daubechies_polish(_daubechies_initial(order), order)
     v = ((-1.0) ** np.arange(len(u))) * u[::-1]
     return FilterBank(u, v)
 

@@ -64,6 +64,16 @@ class TestSelectGmm:
         with pytest.raises(DomainError):
             select_gmm(rng.standard_normal(5), k_max=3)
 
+    def test_collapsed_fits_skipped_with_warning(self):
+        # equal statistics collapse every component of the k = 2 and k = 3
+        # fits; each is skipped with a warning, and the k = 1 fit, which
+        # cannot fail, is the one left
+        with pytest.warns(RuntimeWarning) as caught:
+            fit = select_gmm(np.full(8, 0.37), k_max=3)
+        assert [str(w.message) for w in caught] == [
+            "GMM fit with k=2 failed; skipping", "GMM fit with k=3 failed; skipping"]
+        assert fit.k == 1 and fit.means[0] == 0.37 and not fit.collapsed
+
     def test_deterministic(self, rng):
         x = rng.standard_normal(64)
         a = select_gmm(x, k_max=3)

@@ -544,6 +544,20 @@ class TestCliEstimate:
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv")]) == 3
 
+    @pytest.mark.parametrize("subcommand", ["estimate", "spectrum"])
+    def test_missing_output_directory_exit_3_before_reading(self, fbm_csv, tmp_path, monkeypatch, capsys,
+                                                            subcommand):
+        # the output is created before the CSV is read, so a bad --output
+        # costs no read, decomposition or selection
+        read = []
+        monkeypatch.setattr(cli, "read_panel_csv", lambda *args, **kwargs: read.append(args))
+        missing = tmp_path / "missing"
+        assert main([subcommand, "--input", str(fbm_csv), "--output", str(missing / "x.json")]) == 3
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "data" and str(missing / "x.json") in error["message"]
+        assert read == []
+        assert not missing.exists()
+
     def test_bad_scale_exit_2(self, fbm_csv):
         assert main(["estimate", "--input", str(fbm_csv), "--j", "1", "--a", "12"]) == 2
 
@@ -765,7 +779,11 @@ class TestCliSweep:
         ("fixed_mix = true\n", "unrecognized sweep spec keys for family 'bimodal': fixed_mix"),
         ("family = bimodal\nn = 2048\np = 8\n\n# again\nn = 4096\n",
          "sweep spec key 'n' repeated at lines 2 and 6"),
-    ])
+        # each probability goes to the mode at its place, so the modes stay as written
+        ("family = custom\nmodes = 0.8,0.2\nprobs = 0.9,0.1\n", "modes must be strictly increasing: (0.8, 0.2)"),
+    ], ids=["no-equals", "custom-no-modes", "unknown-family", "M-bogus", "a-not-int", "single-reads-j1-j2",
+            "multi-reads-a", "custom-deltas", "custom-base", "bimodal-modes", "methods-repeat", "p-1",
+            "seed-negative", "unknown-key", "key-repeated", "probs-modes-descending"])
     def test_rejection_named(self, tmp_path, monkeypatch, capsys, text, message):
         ran = []
         monkeypatch.setattr(cli, "run_sweep", ran.append)
@@ -835,16 +853,21 @@ class TestCliSweep:
     def test_single_scale_custom_spec_with_probs(self, tmp_path):
         spec = tmp_path / "single.txt"
         spec.write_text(
-            "family = custom\nmodes = 0.8,0.2;0.3,0.7\nprobs = 0.25,0.75\n"
+            "family = custom\nmodes = 0.2,0.8;0.3,0.7\nprobs = 0.25,0.75\n"
             "n = 4096\np = 8\nj = 1\na = 8\nm = 7\nM = 0.4\nmin_cluster = 3\nn_vanishing = 3\n"
         )
         parsed = parse_sweep_spec(spec)
         assert parsed.pipeline == PipelineConfig(n=4096, p=8, a=8, j=1, m=7, grid_max=0.4,
                                                  min_cluster=3, n_vanishing=3)
         assert parsed.configs == (
-            ("0.8,0.2", HurstDistribution((0.2, 0.8), (0.25, 0.75))),
+            ("0.2,0.8", HurstDistribution((0.2, 0.8), (0.25, 0.75))),
             ("0.3,0.7", HurstDistribution((0.3, 0.7), (0.25, 0.75))),
         )
+
+    def test_custom_spec_without_probs_sorts_modes(self, tmp_path):
+        spec = tmp_path / "uniform.txt"
+        spec.write_text("family = custom\nmodes = 0.8,0.2\nn = 4096\np = 8\n")
+        assert parse_sweep_spec(spec).configs == (("0.8,0.2", HurstDistribution((0.2, 0.8), (0.5, 0.5))),)
 
     def test_custom_family(self, tmp_path):
         spec = tmp_path / "custom.txt"

@@ -99,7 +99,7 @@ class TestDaubechies:
         assert u[:order] @ u[:order] >= 0.5 * (u @ u)
 
     def test_unsupported_order(self):
-        for bad in (0, 11, 2.5, [2]):  # an unhashable order is a ConfigError, not the cache's TypeError
+        for bad in (0, 11, 2.5, [2]):  # a list is a ConfigError, not a TypeError
             with pytest.raises(ConfigError):
                 daubechies(bad)
 
