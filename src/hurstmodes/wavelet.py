@@ -1,14 +1,20 @@
 """Daubechies filter banks and the pyramidal multiresolution transform.
 
-The transform keeps, at every octave, only the detail coefficients whose
+The transform computes, at every octave, only coefficients whose
 dependency cone lies entirely inside the observed samples (no zero-padding
-contamination at the series edges).  Those are the coefficients with shift
-index k in [ceil(T/2^j), floor((n+1)/2^j - T)] for a length-T filter, and
-their count n_j ~ n/2^j is the effective sample size at octave j.  Only
-the octaves a statistic reads are kept, each as a C-contiguous p x n_j
-array; the pyramid computes no high-pass below them and none deeper.  The
-cascade runs one series at a time through every octave, so the only p-row
-arrays it allocates are the kept detail matrices.
+at the series edges).  Shift k at octave j reads shifts 2k..2k+T-1 of
+octave j-1 for a length-T filter, so with the samples as shifts 1..n of
+octave 0 a "valid" convolution gives exactly the shifts 1..b_j, where
+b_0 = n and b_j = floor((b_{j-1} - T + 1)/2).  The kept detail window,
+k in [ceil(T/2^j), floor((n+1)/2^j - T)], lies inside them:
+b_j >= n/2^j - T(1 - 2^-j) >= (n+1)/2^j - T.  It can be a few
+coefficients short of 1..b_j at either end (three in all at octave 1 for
+T = 4 and n = 2^14), and its count n_j ~ n/2^j is the effective sample
+size at octave j.  Only the octaves a statistic reads are kept, each as
+a C-contiguous p x n_j array; the pyramid computes no high-pass below
+them and none deeper.  The cascade runs one series at a time through
+every octave, so the only p-row arrays it allocates are the kept detail
+matrices.
 
 Rows of 2^16 samples or more run on _each_row, the row pool gen_panel's
 synthesis shares, one thread per row at most: np.convolve releases the GIL
@@ -225,14 +231,16 @@ def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) ->
 
     Octave 0 approximations are the raw samples; each coarser octave comes
     from the downsampled low/high-pass recursion (Percival & Walden 2000,
-    section 4.6).  The low-pass runs down to octave j_max - 1 and the
+    section 4.6).  Every step is a "valid" convolution, so a row's octave
+    j approximation holds exactly the border-free shifts 1..b_j (see the
+    module docstring).  The low-pass runs down to octave j_max - 1 and the
     high-pass only at the kept octaves; each kept detail matrix is the
-    border-free window, stored as a C-contiguous p x n_j array.  Each row
-    runs the whole cascade before its thread starts the next, so its
-    approximations are 1-D temporaries and memory peaks at the kept details
-    plus one row's temporaries per thread.  Raises ConfigError when j_max
-    is past max_octave (see require_depth), and DomainError when data is
-    not 2-D.
+    window [ceil(T/2^j), floor((n+1)/2^j - T)] inside 1..b_j, stored as a
+    C-contiguous p x n_j array.  Each row runs the whole cascade before its
+    thread starts the next, so its approximations are 1-D temporaries and
+    memory peaks at the kept details plus one row's temporaries per thread.
+    Raises ConfigError when j_max is past max_octave (see require_depth),
+    and DomainError when data is not 2-D.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.ndim != 2:
@@ -247,34 +255,18 @@ def decompose(data: np.ndarray, bank: FilterBank, j_max: int, j_min: int = 1) ->
 
     u_rev = bank.lowpass[::-1]
     v_rev = bank.highpass[::-1]
-    details: dict[int, np.ndarray] = {}
-
-    # per octave: (octave, low-pass start, width, first detail index if kept)
-    steps = []
-    k0, length = 1, n  # shift index of the first stored approximation sample, and their number
-    for j in range(1, j_max + 1):
-        k0_new = -((-(k0 - t + 1)) // 2)  # ceil((k0 - T + 1) / 2)
-        k1_new = (k0 + length - 1) // 2
-        width = k1_new - k0_new + 1
-        start = 2 * k0_new + t - 1 - k0  # full-convolution index of shift k0_new
-        first = 0
-        if j >= j_min:
-            k_lo, k_hi = _window(n, t, j)
-            if not (k0_new <= k_lo and k_hi <= k1_new):
-                raise AssertionError("border-free window escaped the computed support")
-            first = start + 2 * (k_lo - k0_new)
-            details[j] = np.empty((p, k_hi - k_lo + 1))
-        steps.append((j, start, width, first))
-        k0, length = k0_new, width
+    # "valid" output 2k - 1 of octave j - 1's shifts 1..b is shift k at octave j
+    windows = {j: _window(n, t, j) for j in range(j_min, j_max + 1)}
+    details = {j: np.empty((p, k_hi - k_lo + 1)) for j, (k_lo, k_hi) in windows.items()}
 
     def cascade(i: int) -> None:
         approx = data[i]
-        for j, start, width, first in steps:
+        for j in range(1, j_max + 1):
             if j >= j_min:
-                d = details[j]
-                d[i] = np.convolve(approx, v_rev)[first : first + 2 * d.shape[1] : 2]
+                k_lo, k_hi = windows[j]
+                details[j][i] = np.convolve(approx, v_rev, "valid")[2 * k_lo - 1 : 2 * k_hi : 2]
             if j < j_max:
-                approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
+                approx = np.convolve(approx, u_rev, "valid")[1::2]
 
     _each_row(p, p if n >= _POOL_MIN_LENGTH else 1, cascade)
 

@@ -21,7 +21,7 @@ from hurstmodes import (
     max_octave,
 )
 from hurstmodes import synth, wavelet
-from hurstmodes.wavelet import _POOL_MIN_LENGTH, trimmed_count
+from hurstmodes.wavelet import _POOL_MIN_LENGTH, _window, trimmed_count
 
 SQRT2 = np.sqrt(2.0)
 
@@ -51,6 +51,47 @@ def reference_pyramid(y, bank, j_max):
         details[j] = np.array([new_d[k] for k in range(w_lo, w_hi + 1)])
         approx = new_a
     return details
+
+
+def support_cascade(y, bank, j_max, j_min=1):
+    """decompose's cascade over the full convolution support, row by row:
+    each octave's approximation holds every shift whose cone meets the
+    samples, tracked by its first shift k0 and its length, and the kept
+    window is cut out of the "full" convolutions by index arithmetic.  The
+    same dot products as decompose, so its details must match bit for bit."""
+    p, n = y.shape
+    t = bank.support_length
+    u_rev, v_rev = bank.lowpass[::-1], bank.highpass[::-1]
+    steps = []  # per octave: (octave, low-pass start, width, first detail index, n_j)
+    k0, length = 1, n  # shift of the first stored approximation sample, and their number
+    for j in range(1, j_max + 1):
+        k0_new = -((-(k0 - t + 1)) // 2)  # ceil((k0 - T + 1) / 2)
+        width = (k0 + length - 1) // 2 - k0_new + 1
+        start = 2 * k0_new + t - 1 - k0  # full-convolution index of shift k0_new
+        k_lo = -((-t) // 2**j)
+        k_hi = (n + 1 - t * 2**j) // 2**j
+        steps.append((j, start, width, start + 2 * (k_lo - k0_new), k_hi - k_lo + 1))
+        k0, length = k0_new, width
+    details = {j: np.empty((p, n_j)) for j, _, _, _, n_j in steps if j >= j_min}
+    for i in range(p):
+        approx = y[i]
+        for j, start, width, first, n_j in steps:
+            if j >= j_min:
+                details[j][i] = np.convolve(approx, v_rev)[first : first + 2 * n_j : 2]
+            if j < j_max:
+                approx = np.convolve(approx, u_rev)[start : start + 2 * width : 2]
+    return details
+
+
+@st.composite
+def cascade_geometry(draw):
+    """(order, n, j_min, j_max) with 1 <= j_min <= j_max <= max_octave(n, 2 order)."""
+    order = draw(st.integers(1, 10))
+    t = 2 * order
+    n = draw(st.integers(3 * t - 1, 4000))  # the shortest series with an octave 1
+    j_max = draw(st.integers(1, max_octave(n, t)))
+    j_min = draw(st.integers(1, j_max))
+    return order, n, j_min, j_max
 
 
 class TestDaubechies:
@@ -135,6 +176,23 @@ class TestDecompose:
         for j in range(1, j_max + 1):
             assert fast.details[j].shape[1] == len(slow[j])
             assert np.allclose(fast.details[j][0], slow[j], atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometry=cascade_geometry(), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(geometry=(2, 2**14, 1, 10), p=1, seed=0)
+    @example(geometry=(10, 3 * 20 - 1, 1, 1), p=2, seed=0)
+    def test_details_bitwise_equal_to_support_cascade(self, geometry, p, seed):
+        # numpy computes a "valid" convolution output by the same dot product
+        # as the matching "full" one, so cutting the window out of the valid
+        # outputs changes no bit of any kept detail
+        order, n, j_min, j_max = geometry
+        bank = daubechies(order)
+        y = np.random.default_rng(seed).standard_normal((p, n))
+        fast = decompose(y, bank, j_max, j_min).details
+        slow = support_cascade(y, bank, j_max, j_min)
+        assert list(fast) == list(slow)
+        for j, d in slow.items():
+            assert np.array_equal(fast[j], d)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -428,10 +486,10 @@ def _slow_rows(monkeypatch, caller: str):
             return getattr(np, name)
 
         @staticmethod
-        def convolve(a, v):
+        def convolve(a, v, mode="full"):
             if a.base is y:  # with j_min = 2 only octave 1's low-pass reads the row
                 start_row()
-            return np.convolve(a, v)
+            return np.convolve(a, v, mode)
 
     monkeypatch.setattr(wavelet, "np", Numpy())
     return started, lambda: decompose(y, daubechies(2), 3, 2)
@@ -562,6 +620,24 @@ def test_trimmed_count_examples():
     assert trimmed_count(2**14, 4, 1) == 8187
     assert trimmed_count(2**14, 4, 5) == 508
     assert max_octave(2**14, 4) >= 10
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(1, 2**24), t=st.sampled_from(range(2, 21, 2)))
+@example(n=2**14, t=4)
+@example(n=3 * 20 - 1, t=20)
+def test_kept_window_inside_valid_shifts(n, t):
+    # integers only: octave j's approximation holds the valid shifts 1..b_j,
+    # b_0 = n and b_j = floor((b_{j-1} - T + 1) / 2); the kept window lies
+    # inside them, and every octave the cascade convolves has b_{j-1} >= T,
+    # so np.convolve never swaps its arguments (no violation over all n below
+    # 2^15 and every even T up to 20: 3,176,533 (n, T, j) triples)
+    b = n
+    for j in range(1, max_octave(n, t) + 1):
+        assert b >= t
+        b = (b - t + 1) // 2
+        k_lo, k_hi = _window(n, t, j)
+        assert 1 <= k_lo and k_hi <= b
 
 
 @pytest.mark.parametrize("support", [0, -2])
